@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, conv1d_transpose_depthwise
+from .autodiff import Tensor, conv1d_transpose_depthwise, no_grad
 from .errors import ConfigError, DataError
 from .model import TsrmModel
 from .pretraining import MISSING_TOKEN
@@ -30,38 +30,42 @@ BACKMAP_MODES = ("mean", "sum")
 
 def _static_transpose(signal: np.ndarray, k: int, dilation: int, stride: int,
                       target_len: int) -> np.ndarray:
-    """Run the branch's transposed conv with an all-ones kernel."""
-    x = Tensor(signal.reshape(1, 1, -1).astype(np.float64))
+    """Run the branch's transposed conv with an all-ones kernel along the
+    last axis; leading axes hold independent signals."""
+    x = Tensor(signal.reshape(-1, 1, signal.shape[-1]).astype(np.float64))
     ones = Tensor(np.ones((1, k), dtype=np.float64))
-    return conv1d_transpose_depthwise(x, ones, dilation, stride, target_len).data[0, 0]
+    out = conv1d_transpose_depthwise(x, ones, dilation, stride, target_len).data
+    return out.reshape(signal.shape[:-1] + (target_len,))
 
 
 def backmap_branch(weights: np.ndarray, rb, T: int, mode: str = "mean") -> np.ndarray:
-    """Distribute one conv segment's weights onto the T input steps."""
+    """Distribute conv-segment weights (last axis) onto the T input steps."""
     if mode not in BACKMAP_MODES:
         raise ConfigError(f"unknown backmap mode {mode!r}, expected one of {BACKMAP_MODES}")
     spread = _static_transpose(weights, rb.k, rb.dilation, rb.stride, T)
     if mode == "sum":
         return spread / rb.k
-    coverage = _static_transpose(np.ones_like(weights), rb.k, rb.dilation, rb.stride, T)
-    out = np.zeros(T, dtype=np.float64)
+    # the coverage depends only on the branch, so one pass serves every signal
+    coverage = _static_transpose(np.ones(weights.shape[-1]), rb.k, rb.dilation, rb.stride, T)
+    out = np.zeros(spread.shape, dtype=np.float64)
     covered = coverage > 0
-    out[covered] = spread[covered] / coverage[covered]
+    out[..., covered] = spread[..., covered] / coverage[covered]
     return out
 
 
 def backmap(map_vector: np.ndarray, resolved_branches, T: int,
             mode: str = "mean") -> np.ndarray:
-    """[D] attention vector (layout [conv1, pool1, conv2, pool2, ...]) to a
-    nonnegative weight per input time step; pooled segments are ignored."""
+    """[..., D] attention vectors (layout [conv1, pool1, conv2, pool2, ...]) to
+    a nonnegative weight per input time step, [..., T]; pooled segments are
+    ignored."""
     map_vector = np.asarray(map_vector, dtype=np.float64)
     D = sum(rb.conv_len + rb.pool_len for rb in resolved_branches)
-    if map_vector.shape != (D,):
-        raise ConfigError(f"map vector has shape {map_vector.shape}, layout implies ({D},)")
-    out = np.zeros(T, dtype=np.float64)
+    if map_vector.ndim == 0 or map_vector.shape[-1] != D:
+        raise ConfigError(f"map vector has shape {map_vector.shape}, layout implies (..., {D})")
+    out = np.zeros(map_vector.shape[:-1] + (T,), dtype=np.float64)
     offset = 0
     for rb in resolved_branches:
-        seg = map_vector[offset: offset + rb.conv_len]
+        seg = map_vector[..., offset: offset + rb.conv_len]
         offset += rb.conv_len + rb.pool_len
         out += backmap_branch(seg, rb, T, mode=mode)
     return out
@@ -71,13 +75,7 @@ def backmapped_layers(model: TsrmModel, attention: np.ndarray, sample_index: int
                       mode: str = "mean") -> np.ndarray:
     """Back-map a forward trace's [N, B, F, D] attention to [N, F, T]."""
     cfg = model.config
-    branches = cfg.resolved_branches
-    N, _, F, _ = attention.shape
-    out = np.zeros((N, F, cfg.T), dtype=np.float64)
-    for n in range(N):
-        for f in range(F):
-            out[n, f] = backmap(attention[n, sample_index, f], branches, cfg.T, mode=mode)
-    return out
+    return backmap(attention[:, sample_index], cfg.resolved_branches, cfg.T, mode=mode)
 
 
 def _format(v: float) -> str:
@@ -108,7 +106,8 @@ def export_attention(model: TsrmModel, values: np.ndarray, observed: np.ndarray,
         visible[model.task_spec["input_len"]:] = False
     model_input = np.where(visible, filled, MISSING_TOKEN).astype(np.float32)
 
-    trace = model.forward(model_input[None])
+    with no_grad():
+        trace = model.forward(model_input[None])
     layers = backmapped_layers(model, trace.attention, 0, mode=mode)  # [N, F, T]
     weight_sum = layers.sum(axis=0)                                   # [F, T]
     output = trace.output.data[0]
@@ -116,6 +115,10 @@ def export_attention(model: TsrmModel, values: np.ndarray, observed: np.ndarray,
     written = []
     for f in range(cfg.F):
         path = out_dir / f"attention_feature_{f}.csv"
+        # Replace an earlier export rather than truncate it: ext4 (auto_da_alloc)
+        # starts writing a truncated-and-rewritten file to disk when it is
+        # closed, one disk write per file on every repeated export.
+        path.unlink(missing_ok=True)
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t", "input_value", "output_value", "weight_sum"]
@@ -127,6 +130,7 @@ def export_attention(model: TsrmModel, values: np.ndarray, observed: np.ndarray,
         written.append(path)
         if svg:
             svg_path = out_dir / f"attention_feature_{f}.svg"
+            svg_path.unlink(missing_ok=True)
             svg_path.write_text(_render_svg(model_input[:, f], output[:, f],
                                             weight_sum[f]))
             written.append(svg_path)

@@ -16,9 +16,9 @@ from typing import Optional
 
 import numpy as np
 
-from .autodiff import Tensor, bce_with_logits, softmax_cross_entropy
+from .autodiff import Tensor, bce_with_logits, no_grad, softmax_cross_entropy
 from .data import WindowedDataset
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .model import ForwardTrace, TsrmModel, rebuild_for_window
 from .pretraining import (
     MISSING_TOKEN,
@@ -189,11 +189,18 @@ def macro_f1(y_true: np.ndarray, y_pred: np.ndarray, n_classes: int) -> float:
 
 def _batched_forward(model: TsrmModel, inputs: np.ndarray, batch_size: int = 64):
     outputs, logits = [], []
-    for s in range(0, inputs.shape[0], batch_size):
-        trace = model.forward(inputs[s: s + batch_size])
-        outputs.append(trace.output.data)
-        logits.append(trace.class_logits.data)
+    with no_grad():
+        for s in range(0, inputs.shape[0], batch_size):
+            trace = model.forward(inputs[s: s + batch_size])
+            outputs.append(trace.output.data)
+            logits.append(trace.class_logits.data)
     return np.concatenate(outputs), np.concatenate(logits)
+
+
+def _require_targets(mask: np.ndarray, task: TaskSpec) -> None:
+    """Metrics over no positions would be NaN, which is not valid JSON."""
+    if not mask.any():
+        raise DataError(f"{task.kind} evaluation has no observed target positions")
 
 
 def evaluate_task(model: TsrmModel, dataset: WindowedDataset, task: TaskSpec,
@@ -207,7 +214,6 @@ def evaluate_task(model: TsrmModel, dataset: WindowedDataset, task: TaskSpec,
                "trainable_params_millions": model.parameter_count(trainable_only=True) / 1e6}
     if task.kind == "forecast":
         batch = build_forecast_batch(dataset.values, dataset.observed, task)
-        outputs, _ = _batched_forward(model, batch.model_input)
         mask = batch.mask
         if horizon_eval is not None:
             if not 0 < horizon_eval <= task.horizon:
@@ -216,12 +222,15 @@ def evaluate_task(model: TsrmModel, dataset: WindowedDataset, task: TaskSpec,
             mask = mask.copy()
             mask[:, task.input_len + horizon_eval:] = False
             metrics["horizon_evaluated"] = horizon_eval
+        _require_targets(mask, task)
+        outputs, _ = _batched_forward(model, batch.model_input)
         err = (outputs - batch.values)[mask]
         metrics["mse"] = float((err ** 2).mean())
         metrics["mae"] = float(np.abs(err).mean())
     elif task.kind == "impute":
         batch = build_impute_batch(dataset.values, dataset.observed,
                                    np.random.default_rng(seed))
+        _require_targets(batch.mask, task)
         outputs, _ = _batched_forward(model, batch.model_input)
         err = (outputs - batch.values)[batch.mask]
         metrics["mae"] = float(np.abs(err).mean())

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .autodiff import Adam, clip_grad_norm
+from .autodiff import Adam, clip_grad_norm, no_grad
 from .data import WindowedDataset
 from .errors import ConfigError, NumericsError
 from .finetune import (
@@ -106,7 +106,9 @@ class EarlyStopTracker:
         self.stale = 0
 
     def update(self, value: float) -> bool:
-        if self.best is math.inf or (self.best - value) / self.best >= self.rel:
+        # a zero best loss leaves no relative improvement possible
+        if self.best is math.inf or (self.best != 0
+                                     and (self.best - value) / self.best >= self.rel):
             self.best = value
             self.stale = 0
         else:
@@ -310,10 +312,11 @@ def train(model: TsrmModel, objective, cfg: TrainConfig,
             train_parts.append((bd, batch.model_input.shape[0]))
 
         val_parts = []
-        for batch in objective.val_batches():
-            trace = model.forward(batch.model_input, training=False)
-            _, bd = objective.loss(trace, batch)
-            val_parts.append((bd, batch.model_input.shape[0]))
+        with no_grad():
+            for batch in objective.val_batches():
+                trace = model.forward(batch.model_input, training=False)
+                _, bd = objective.loss(trace, batch)
+                val_parts.append((bd, batch.model_input.shape[0]))
         val_bd = _merge_breakdowns(val_parts)
         val_total = val_bd["total"]
         if not np.isfinite(val_total):

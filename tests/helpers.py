@@ -46,3 +46,19 @@ def check_gradients(build_loss, tensors, h: float = 1e-5, tol: float = 1e-4) -> 
 
 def rand_tensor(rng, *shape, scale=1.0, requires_grad=True) -> Tensor:
     return Tensor(rng.standard_normal(shape) * scale, requires_grad=requires_grad, dtype=np.float64)
+
+
+def spy_forward(model) -> list:
+    """Wrap model.forward on this instance; each call appends
+    (training, whether the output recorded a backward graph)."""
+    calls = []
+    original = model.forward
+
+    def forward(*args, **kwargs):
+        trace = original(*args, **kwargs)
+        graph = trace.output.requires_grad or trace.class_logits.requires_grad
+        calls.append((kwargs.get("training", False), graph))
+        return trace
+
+    model.forward = forward
+    return calls

@@ -1,5 +1,8 @@
 """Unit tests for the reverse-mode autodiff core."""
 
+import platform
+import resource
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,7 @@ from tsrm.autodiff import (
     group_norm,
     maxpool1d,
     matmul,
+    no_grad,
     sigmoid,
     softmax,
     softmax_cross_entropy,
@@ -355,6 +359,57 @@ class TestGraphAccumulation:
             vals = leaf_values.copy()
             numeric = finite_difference(lambda: build(vals)[1].item(), vals, h=1e-6)
             np.testing.assert_allclose(analytic, numeric, rtol=1e-4, atol=1e-6)
+
+
+class TestNoGrad:
+    def make(self):
+        rng = np.random.default_rng(21)
+        return rand_tensor(rng, 2, 3), rand_tensor(rng, 3, 4)
+
+    def test_ops_record_no_graph_and_match_recorded_values(self):
+        a, w = self.make()
+        recorded = gelu(matmul(a, w) + 1.0).sum()
+        with no_grad():
+            free = gelu(matmul(a, w) + 1.0).sum()
+        assert recorded.requires_grad and recorded._parents
+        assert free.requires_grad is False
+        assert free._parents == () and free._backward is None
+        np.testing.assert_array_equal(free.data, recorded.data)
+
+    def test_state_restored_after_exception(self):
+        a, _ = self.make()
+        with pytest.raises(ConfigError):
+            with no_grad():
+                raise ConfigError("raised inside the block")
+        assert (a * a).requires_grad
+
+    def test_nested_blocks_restore_the_outer_state(self):
+        a, _ = self.make()
+        with no_grad():
+            with no_grad():
+                pass
+            assert not (a * a).requires_grad
+        assert (a * a).requires_grad
+
+    def test_gradients_flow_once_the_block_exits(self):
+        a, w = self.make()
+        with no_grad():
+            matmul(a, w).sum()
+        matmul(a, w).sum().backward()
+        np.testing.assert_allclose(a.grad, np.broadcast_to(w.data.sum(axis=1), a.shape))
+        np.testing.assert_allclose(w.grad, np.broadcast_to(a.data.sum(axis=0)[:, None], w.shape))
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the allocator setting is glibc's")
+def test_freed_arrays_are_reused_without_page_faults():
+    # each forward frees its intermediates and the next allocates the same
+    # sizes; by default glibc unmaps a 64 MB array on free and faults it in anew
+    size = 64 * 2 ** 20 // 8
+    np.ones(size)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(5):
+        np.ones(size)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 8
 
 
 class TestAdam:

@@ -142,6 +142,27 @@ class TestFinetuneAndEval:
         assert "mse" in metrics["horizon_8"]
         assert "trainable_params_millions" in metrics["horizon_8"]
 
+    def test_eval_without_observed_targets_exits_with_data_error_code(self, tmp_path, capsys,
+                                                                      caplog):
+        from tsrm.finetune import TaskSpec, prepare_finetune
+        from tsrm.model import ModelConfig, TsrmModel, save_checkpoint
+        cfg = ModelConfig(T=24, F=1, f_embed=4, n_layers=1, heads=2,
+                          branches=[{"kernel": 3, "dilation": 1}], dropout_p=0.0)
+        model = prepare_finetune(TsrmModel(cfg, seed=0),
+                                 TaskSpec("forecast", horizon=8, input_len=24))
+        save_checkpoint(model, tmp_path / "fc")
+        # every 32-step window misses its whole 8-step horizon
+        rows = ["v"] + [f"{0.5 + 0.01 * (t % 24):.3f}" if t % 32 < 24 else ""
+                        for t in range(96)]
+        (tmp_path / "gappy.csv").write_text("\n".join(rows) + "\n")
+        (tmp_path / "data.json").write_text(json.dumps({"data": {"window": 32, "stride": 32}}))
+        code = run(["eval", "--model", str(tmp_path / "fc"),
+                    "--test-csv", str(tmp_path / "gappy.csv"),
+                    "--config", str(tmp_path / "data.json")])
+        assert code == 2
+        assert capsys.readouterr().out == ""
+        assert "no observed target" in caplog.text
+
     def test_horizon_with_classify_rejected(self, workspace):
         tmp, csv_path, cfg_path = workspace
         pre = tmp / "pre-x"

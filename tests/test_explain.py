@@ -1,11 +1,16 @@
 """Back-mapping of attention vectors and the export format."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
+import tsrm.explain as explain_module
 from tsrm.errors import ConfigError
 from tsrm.explain import backmap, backmap_branch, backmapped_layers, export_attention
 from tsrm.model import BranchSpec, ModelConfig, TsrmModel
+
+from helpers import spy_forward
 
 
 def coverage_oracle(weights, k, dilation, stride, T, mode="mean"):
@@ -118,6 +123,16 @@ class TestBackmap:
         out = backmap(vec, branches, T, mode="sum")
         np.testing.assert_allclose(out.sum(), conv_mass, rtol=1e-10)
 
+    def test_stacked_vectors_map_like_single_ones(self):
+        branches, D, T = self.layout()
+        vectors = np.random.default_rng(8).random((3, 2, D))
+        for mode in ("mean", "sum"):
+            stacked = backmap(vectors, branches, T, mode=mode)
+            assert stacked.shape == (3, 2, T)
+            for idx in np.ndindex(3, 2):
+                np.testing.assert_array_equal(stacked[idx],
+                                              backmap(vectors[idx], branches, T, mode=mode))
+
     def test_layout_mismatch_rejected(self):
         branches, D, T = self.layout()
         with pytest.raises(ConfigError, match="layout"):
@@ -155,6 +170,36 @@ class TestExport:
         a = export_attention(model, values, observed, tmp_path / "a")
         b = export_attention(model, values, observed, tmp_path / "b")
         for pa, pb in zip(a, b):
+            assert pa.read_bytes() == pb.read_bytes()
+
+    def test_export_over_an_earlier_one_replaces_its_files(self, tmp_path):
+        model = self.make_model()
+        observed = np.ones((24, 2), dtype=bool)
+        first = export_attention(model, np.zeros((24, 2), dtype=np.float32), observed,
+                                 tmp_path / "out", svg=True)
+        kept = [tmp_path / f"kept{i}" for i in range(len(first))]
+        for path, link in zip(first, kept):
+            link.hardlink_to(path)
+        old = [link.read_bytes() for link in kept]
+        values = np.random.default_rng(10).random((24, 2)).astype(np.float32)
+        second = export_attention(model, values, observed, tmp_path / "out", svg=True)
+        fresh = export_attention(model, values, observed, tmp_path / "fresh", svg=True)
+        assert second == first
+        # new files, not the earlier ones truncated and rewritten
+        assert [link.read_bytes() for link in kept] == old
+        for pa, pb in zip(second, fresh):
+            assert pa.read_bytes() == pb.read_bytes()
+
+    def test_export_is_graph_free_and_matches_a_recorded_forward(self, tmp_path, monkeypatch):
+        model = self.make_model()
+        values = np.random.default_rng(9).random((24, 2)).astype(np.float32)
+        observed = np.ones((24, 2), dtype=bool)
+        calls = spy_forward(model)
+        free = export_attention(model, values, observed, tmp_path / "free")
+        monkeypatch.setattr(explain_module, "no_grad", contextlib.nullcontext)
+        recorded = export_attention(model, values, observed, tmp_path / "recorded")
+        assert [graph for _, graph in calls] == [False, True]
+        for pa, pb in zip(free, recorded):
             assert pa.read_bytes() == pb.read_bytes()
 
     def test_svg_written_when_requested(self, tmp_path):

@@ -1,11 +1,14 @@
 """Task adapters: freezing, input building, losses, metrics."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
 from tsrm.autodiff import Adam, Tensor
 from tsrm.data import WindowedDataset, synth_dataset
-from tsrm.errors import ConfigError
+from tsrm.errors import ConfigError, DataError
+import tsrm.finetune as finetune_module
 from tsrm.finetune import (
     FinetuneBatch,
     TaskSpec,
@@ -20,6 +23,8 @@ from tsrm.finetune import (
 )
 from tsrm.model import ForwardTrace, ModelConfig, TsrmModel
 from tsrm.pretraining import build_pretrain_batch, pretrain_loss
+
+from helpers import spy_forward
 
 
 def pretrained_model(T=24, F=1, num_classes=1):
@@ -306,6 +311,26 @@ class TestEvaluateTask:
         with pytest.raises(ConfigError, match="horizon"):
             evaluate_task(self.CopyModel(), ds, task, horizon_eval=16)
 
+    @pytest.mark.parametrize("kind", ["forecast", "impute"])
+    def test_no_observed_targets_rejected(self, kind):
+        values = np.random.default_rng(13).random((3, 24, 1)).astype(np.float32)
+        if kind == "forecast":
+            task = TaskSpec("forecast", horizon=4, input_len=20)
+            values[:, 20:] = np.nan
+        else:
+            task = TaskSpec("impute")
+            values[:] = np.nan
+        with pytest.raises(DataError, match="no observed target"):
+            evaluate_task(self.CopyModel(), WindowedDataset(values), task)
+
+    def test_truncated_horizon_without_observed_targets_rejected(self):
+        task = TaskSpec("forecast", horizon=4, input_len=20)
+        values = np.random.default_rng(14).random((3, 24, 1)).astype(np.float32)
+        values[:, 20:22] = np.nan
+        evaluate_task(self.CopyModel(), WindowedDataset(values), task)
+        with pytest.raises(DataError, match="no observed target"):
+            evaluate_task(self.CopyModel(), WindowedDataset(values), task, horizon_eval=2)
+
     def test_classification_metrics(self):
         task = TaskSpec("classify", num_classes=3)
         values = np.zeros((6, 24, 1), dtype=np.float32)
@@ -322,6 +347,38 @@ class TestEvaluateTask:
 
         metrics = evaluate_task(Classifier(), ds, task)
         assert metrics["accuracy"] == 1.0 and metrics["macro_f1"] == 1.0
+
+
+class TestGraphFreeEvaluation:
+    @pytest.mark.parametrize("task", [TaskSpec("forecast", horizon=8, input_len=24),
+                                      TaskSpec("impute"),
+                                      TaskSpec("classify", num_classes=3)],
+                             ids=["forecast", "impute", "classify"])
+    def test_metrics_match_a_graph_recording_forward(self, task, monkeypatch):
+        model = prepare_finetune(pretrained_model(), task)
+        n = 70  # two evaluation batches
+        ds = synth_dataset("sine", T=model.config.T, F=1, n=n, seed=6)
+        ds = WindowedDataset(ds.values, labels=np.arange(n) % 3)
+        calls = spy_forward(model)
+        metrics = evaluate_task(model, ds, task, seed=1)
+        monkeypatch.setattr(finetune_module, "no_grad", contextlib.nullcontext)
+        recorded = evaluate_task(model, ds, task, seed=1)
+        assert [graph for _, graph in calls] == [False, False, True, True]
+        assert metrics == recorded
+
+    def test_training_step_after_evaluation_reaches_every_unfrozen_parameter(self):
+        task = TaskSpec("forecast", horizon=8, input_len=24)
+        model = prepare_finetune(pretrained_model(), task)
+        ds = synth_dataset("sine", T=32, F=1, n=4, seed=7)
+        evaluate_task(model, ds, task)
+        batch = build_forecast_batch(ds.values, ds.observed, task)
+        trace = model.forward(batch.model_input, training=True, rng=np.random.default_rng(0))
+        finetune_loss(trace, batch, task).backward()
+        for p in model.parameters():
+            if p.frozen:
+                assert p.tensor.grad is None, p.name
+            else:
+                assert p.tensor.grad is not None and np.isfinite(p.tensor.grad).all(), p.name
 
 
 class TestMacroF1:

@@ -1,5 +1,6 @@
 """Training loop: stopping rules, scheduling, determinism, diagnostics."""
 
+import contextlib
 import json
 
 import numpy as np
@@ -19,6 +20,9 @@ from tsrm.trainer import (
     train,
 )
 from tsrm.finetune import TaskSpec
+import tsrm.trainer as trainer_module
+
+from helpers import spy_forward
 
 
 class TestEarlyStop:
@@ -40,6 +44,11 @@ class TestEarlyStop:
     def test_steady_improvement_never_stops(self):
         history = [1.0 * (0.98 ** i) for i in range(50)]
         assert early_stop_check(history) is False
+
+    def test_zero_best_loss_counts_as_stale(self):
+        # no relative improvement over a zero loss is possible
+        assert early_stop_check([0.0, 0.0]) is False
+        assert early_stop_check([0.0] * 6) is True
 
     def test_empty_history_rejected(self):
         with pytest.raises(ConfigError):
@@ -145,6 +154,23 @@ class TestTrainLoop:
                 for rec in log.epochs]))
         assert runs[0][0] == runs[1][0]
         assert runs[0][1] == runs[1][1]
+
+    def test_validation_is_graph_free_and_matches_a_recorded_run(self, monkeypatch):
+        def run():
+            model, objective = tiny_setup()
+            calls = spy_forward(model)
+            model, log = train(model, objective, TrainConfig(max_epochs=2, batch_size=16, seed=3))
+            blob = b"".join(p.data.tobytes() for p in model.parameters())
+            epochs = [{k: v for k, v in rec.items() if k != "seconds"} for rec in log.epochs]
+            return blob, epochs, calls
+
+        blob, epochs, calls = run()
+        monkeypatch.setattr(trainer_module, "no_grad", contextlib.nullcontext)
+        recorded_blob, recorded_epochs, recorded_calls = run()
+        assert calls == [(True, True)] * 2 + [(False, False)] + [(True, True)] * 2 + [(False, False)]
+        assert all(graph for _, graph in recorded_calls)
+        assert blob == recorded_blob
+        assert epochs == recorded_epochs
 
     def test_different_seeds_diverge(self):
         model_a, objective = tiny_setup()
