@@ -1,7 +1,7 @@
 """Self-attention mechanisms and the feature-separated multi-head wrapper.
 
 Three interchangeable kinds: dense softmax attention, entmax-1.5 sparse
-attention (bisection solver, rows may contain exact zeros), and a
+attention (exact sort-based threshold, rows may contain exact zeros), and a
 prob-sparse variant that computes full rows only for the queries with the
 highest max-minus-mean sparsity score and hands every other query the mean
 of the values (equivalently: a uniform attention row).
@@ -49,32 +49,55 @@ class AttentionKind:
             raise ConfigError("probsparse factor must be positive")
 
 
-def entmax15(z: Tensor, axis: int = -1, n_iter: int = 60) -> Tensor:
+# Elements per block of rows that entmax15 solves at once. Its sort and
+# cumulative sums need several temporaries of the block's size; over a whole
+# [F, B, h, D, D] eval batch they would outweigh the scores themselves.
+_ENTMAX_BLOCK = 1 << 16
+
+
+def _entmax15_rows(x: np.ndarray) -> np.ndarray:
+    """Exact 1.5-entmax of each row of a 2-D array (Peters et al. 2019).
+
+    With u = x/2 - max(x/2) sorted in descending order and S1_k, S2_k the
+    cumulative sums of u and u^2, rank k is in the support iff the mass
+    sum_{i<=k} (u_i - u_k)^2 = k u_k^2 - 2 S1_k u_k + S2_k is at most one.
+    For support size k*, tau is the smaller root of
+    k* tau^2 - 2 S1 tau + S2 - 1 = 0.
+    """
+    u = x / 2
+    u -= u.max(axis=-1, keepdims=True)
+    srt = np.sort(u, axis=-1)[:, ::-1]
+    s1 = np.cumsum(srt, axis=-1)
+    s2 = np.cumsum(np.square(srt), axis=-1)
+    k = np.arange(1, x.shape[-1] + 1, dtype=u.dtype)
+    mass = (k * srt - 2 * s1) * srt + s2
+    k_star = np.count_nonzero(mass <= 1, axis=-1).reshape(-1, 1)
+    s1 = np.take_along_axis(s1, k_star - 1, axis=-1)
+    s2 = np.take_along_axis(s2, k_star - 1, axis=-1)
+    k_star = k_star.astype(u.dtype)
+    tau = (s1 - np.sqrt(np.maximum(s1 * s1 - k_star * (s2 - 1), 0))) / k_star
+    p = np.square(np.maximum(u - tau, 0))
+    p /= p.sum(axis=-1, keepdims=True)
+    return p
+
+
+def entmax15(z: Tensor, axis: int = -1) -> Tensor:
     """1.5-entmax along an axis: p_i = [(z_i/2 - tau)+]^2 with sum(p) = 1.
 
-    tau is located by bisection (n_iter >= 50 halvings of the bracketing
-    interval [min(z/2)-1, max(z/2)]); the result is renormalized so the
-    slice sums to one exactly while zero entries stay exactly zero.
+    tau is computed exactly from the sorted slice (see ``_entmax15_rows``);
+    the result is renormalized so the slice sums to one exactly while zero
+    entries stay exactly zero. Slices are solved in blocks of about
+    ``_ENTMAX_BLOCK`` elements, so the solver's temporaries stay small next
+    to the input and the output.
     """
-    if n_iter < 50:
-        raise ConfigError("entmax15 bisection needs at least 50 iterations")
     x = np.moveaxis(z.data, axis, -1)
-    # uniform shifts cancel in the solution; subtracting the max also keeps
-    # the bracket tight
-    u = x / 2.0
-    u = u - u.max(axis=-1, keepdims=True)
-    lo = u.min(axis=-1, keepdims=True) - 1.0
-    hi = np.zeros_like(lo)
-    for _ in range(n_iter):
-        tau = 0.5 * (lo + hi)
-        mass = np.square(np.maximum(u - tau, 0.0)).sum(axis=-1, keepdims=True)
-        too_low = mass >= 1.0
-        lo = np.where(too_low, tau, lo)
-        hi = np.where(too_low, hi, tau)
-    tau = 0.5 * (lo + hi)
-    p = np.square(np.maximum(u - tau, 0.0))
-    p = p / p.sum(axis=-1, keepdims=True)
-    p = np.moveaxis(p, -1, axis).astype(z.data.dtype)
+    n = x.shape[-1]
+    rows = x.reshape(-1, n)
+    out = np.empty_like(rows)
+    step = max(1, _ENTMAX_BLOCK // n)
+    for start in range(0, rows.shape[0], step):
+        out[start:start + step] = _entmax15_rows(rows[start:start + step])
+    p = np.moveaxis(out.reshape(x.shape), -1, axis)
 
     def backward(g):
         # Jacobian on the support: diag(s) - s s^T / sum(s) with s = sqrt(p)
@@ -156,22 +179,19 @@ def probsparse_attention(q: Tensor, k: Tensor, v: Tensor, c: float,
 
 
 def reduce_map(map_tensor: Tensor, axis: str = "queries") -> Tensor:
-    """Reduce a row-stochastic [..., D, D] map to a per-position vector.
+    """Reduce a row-stochastic [..., D, D] map to a per-position vector by
+    summing over the query axis (attention received per position).
 
-    "queries" sums over the query axis (attention received per position);
-    "keys" sums each row instead, which is constant for stochastic maps and
-    exists only as an explicit switch.
+    Summing each row instead would give a constant vector of ones, so the
+    query axis is the only one accepted.
     """
-    if axis == "queries":
-        return map_tensor.sum(axis=-2)
-    if axis == "keys":
-        return map_tensor.sum(axis=-1)
-    raise ConfigError(f"unknown attention reduce axis {axis!r}")
+    if axis != "queries":
+        raise ConfigError(f"unknown attention reduce axis {axis!r}")
+    return map_tensor.sum(axis=-2)
 
 
 def feature_separated_mha(r: Tensor, params: dict, kind: AttentionKind, heads: int,
-                          rng: np.random.Generator, reduce_axis: str = "queries",
-                          record_full: bool = False):
+                          rng: np.random.Generator, record_full: bool = False):
     """Per-feature multi-head self-attention over [B, D, F*f_embed].
 
     Each of the F width-f_embed segments runs through its own Q/K/V/output
@@ -211,6 +231,6 @@ def feature_separated_mha(r: Tensor, params: dict, kind: AttentionKind, heads: i
     out = out + params["bo"].reshape(F, 1, 1, f_embed)
     out = out.transpose(1, 2, 0, 3).reshape(B, D, E)
 
-    reduced = reduce_map(avg_map, reduce_axis).transpose(1, 0, 2)       # [B, F, D]
+    reduced = reduce_map(avg_map).transpose(1, 0, 2)                    # [B, F, D]
     full = np.ascontiguousarray(avg_map.data.transpose(1, 0, 2, 3)) if record_full else None
     return out, reduced, full

@@ -4,7 +4,8 @@ A :class:`Tensor` wraps an ndarray and, when an operation involves at least
 one gradient-requiring input, records a backward closure plus parent links.
 ``Tensor.backward()`` walks the (acyclic) graph in reverse topological order
 and accumulates gradients with ``+=`` so shared subgraphs receive summed
-contributions.
+contributions. An intermediate node's gradient is dropped as soon as its
+closure has run; only leaves (parameters and inputs) keep theirs.
 
 Inside a :func:`no_grad` block no op records parents or a backward closure,
 so each intermediate array is freed as soon as Python drops it. The
@@ -164,6 +165,9 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                # every consumer has already run, so this gradient is spent;
+                # only leaves keep theirs
+                node.grad = None
 
     # -- operator sugar ------------------------------------------------------
 

@@ -144,7 +144,6 @@ class ModelConfig:
     alpha: float = 3.5
     beta: float = 1.2
     gamma: float = 5.0
-    attention_reduce_axis: str = "queries"
     num_classes: int = 1
 
     def __post_init__(self):
@@ -163,8 +162,6 @@ class ModelConfig:
         self.branches = [b if isinstance(b, BranchSpec) else BranchSpec.from_dict(b)
                          for b in self.branches]
         attn.AttentionKind(self.attention, self.probsparse_factor)  # validates
-        if self.attention_reduce_axis not in ("queries", "keys"):
-            raise ConfigError(f"unknown attention reduce axis {self.attention_reduce_axis!r}")
         D = self.D
         if D < AC_MIN_D:
             raise ConfigError(
@@ -194,12 +191,17 @@ class ModelConfig:
             "branches": [b.to_dict() for b in self.branches],
             "attention": self.attention, "probsparse_factor": self.probsparse_factor,
             "dropout_p": self.dropout_p, "alpha": self.alpha, "beta": self.beta,
-            "gamma": self.gamma, "attention_reduce_axis": self.attention_reduce_axis,
-            "num_classes": self.num_classes,
+            "gamma": self.gamma, "num_classes": self.num_classes,
         }
 
     @staticmethod
     def from_dict(d: dict) -> "ModelConfig":
+        # older format-v1 manifests carry the retired reduce axis; summing
+        # over keys gave constant ones, so only "queries" is accepted
+        d = dict(d)
+        axis = d.pop("attention_reduce_axis", "queries")
+        if axis != "queries":
+            raise ConfigError(f"unknown attention reduce axis {axis!r}")
         known = {f.name for f in ModelConfig.__dataclass_fields__.values()}
         unknown = set(d) - known
         if unknown:
@@ -234,6 +236,77 @@ def parameter_count_formula(cfg: ModelConfig) -> int:
     return embed + deembed + N * per_el + ac_trunk + ac_head
 
 
+def parameter_table(cfg: ModelConfig) -> list:
+    """(name, shape, init) of every parameter, in creation order.
+
+    init is "zeros", "ones", ("kaiming", fan_in), or ("kaiming_shared",
+    fan_in): one Kaiming draw of shape[1:] repeated along the leading
+    feature axis, so the per-feature classifier trunks start identical.
+    Initialization draws from one generator in this order, and checkpoint
+    loading checks stored shapes against the same table.
+    """
+    F, fe, de = cfg.F, cfg.f_embed, cfg.d_embed
+    M, N = len(cfg.branches), cfg.n_layers
+    branches = cfg.resolved_branches
+    table = [("embed.w", (F, fe), ("kaiming", 1)), ("embed.b", (F, fe), "zeros")]
+
+    for n in range(N):
+        p = f"el{n}"
+        for m, rb in enumerate(branches):
+            table += [(f"{p}.rl.conv{m}.w", (de, rb.k), ("kaiming", rb.k)),
+                      (f"{p}.rl.conv{m}.b", (de,), "zeros")]
+        table += [(f"{p}.block1.norm.gamma", (de,), "ones"),
+                  (f"{p}.block1.norm.beta", (de,), "zeros")]
+        table += [(f"{p}.attn.{w}", (F, fe, fe), ("kaiming", fe)) for w in ("wq", "wk", "wv", "wo")]
+        table += [(f"{p}.attn.{b}", (F, fe), "zeros") for b in ("bq", "bk", "bv", "bo")]
+        table += [(f"{p}.block2.norm.gamma", (de,), "ones"),
+                  (f"{p}.block2.norm.beta", (de,), "zeros"),
+                  (f"{p}.block2.linear.w", (de, de), ("kaiming", de)),
+                  (f"{p}.block2.linear.b", (de,), "zeros")]
+        table += [(f"{p}.ml.tconv{m}.w", (de, rb.k), ("kaiming", rb.k))
+                  for m, rb in enumerate(branches)]
+        table += [(f"{p}.ml.ffn.w", (F, M * fe, fe), ("kaiming", M * fe)),
+                  (f"{p}.ml.ffn.b", (F, fe), "zeros")]
+
+    table += [("deembed.w", (F, fe), ("kaiming", fe)), ("deembed.b", (F,), "zeros")]
+
+    # classifier trunks: one per feature, identically initialized
+    flat = AC_CONV2_OUT * AC_POOL_LEN
+    table += [
+        ("ac.conv1.w", (F, AC_CONV1_OUT, N, AC_CONV1_K), ("kaiming_shared", N * AC_CONV1_K)),
+        ("ac.conv1.b", (F, AC_CONV1_OUT), "zeros"),
+        ("ac.conv2.w", (F, AC_CONV2_OUT, AC_CONV1_OUT, AC_CONV2_K),
+         ("kaiming_shared", AC_CONV1_OUT * AC_CONV2_K)),
+        ("ac.conv2.b", (F, AC_CONV2_OUT), "zeros"),
+        ("ac.lin1.w", (F, flat, AC_TRUNK_HIDDEN), ("kaiming_shared", flat)),
+        ("ac.lin1.b", (F, AC_TRUNK_HIDDEN), "zeros"),
+        ("ac.lin2.w", (F, AC_TRUNK_HIDDEN, 1), ("kaiming_shared", AC_TRUNK_HIDDEN)),
+        ("ac.lin2.b", (F, 1), "zeros"),
+    ]
+    C = cfg.num_classes
+    table += [
+        ("ac.head.w1", (F, AC_HIDDEN), ("kaiming", F)),
+        ("ac.head.b1", (AC_HIDDEN,), "zeros"),
+        ("ac.head.w2", (AC_HIDDEN, AC_HIDDEN), ("kaiming", AC_HIDDEN)),
+        ("ac.head.b2", (AC_HIDDEN,), "zeros"),
+        ("ac.head.w3", (AC_HIDDEN, C), ("kaiming", AC_HIDDEN)),
+        ("ac.head.b3", (C,), "zeros"),
+    ]
+    return table
+
+
+def _initial_value(shape: tuple, init, rng: np.random.Generator, dtype) -> np.ndarray:
+    if init == "zeros":
+        return np.zeros(shape)
+    if init == "ones":
+        return np.ones(shape)
+    kind, fan_in = init
+    if kind == "kaiming":
+        return kaiming_uniform(shape, fan_in, rng, dtype)
+    one = kaiming_uniform(shape[1:], fan_in, rng, dtype)
+    return np.repeat(one[None], shape[0], axis=0)
+
+
 @dataclass
 class ForwardTrace:
     """Everything one forward pass produces."""
@@ -266,64 +339,14 @@ class TsrmModel:
                                                    requires_grad=True))
 
     def _init_params(self, rng: np.random.Generator) -> None:
-        cfg = self.config
-        F, fe, de = cfg.F, cfg.f_embed, cfg.d_embed
-        M = len(cfg.branches)
-        branches = cfg.resolved_branches
-
-        self._add("embed.w", kaiming_uniform((F, fe), 1, rng, self.dtype))
-        self._add("embed.b", np.zeros((F, fe)))
-
-        for n in range(cfg.n_layers):
-            p = f"el{n}"
-            for m, rb in enumerate(branches):
-                self._add(f"{p}.rl.conv{m}.w", kaiming_uniform((de, rb.k), rb.k, rng, self.dtype))
-                self._add(f"{p}.rl.conv{m}.b", np.zeros(de))
-            self._add(f"{p}.block1.norm.gamma", np.ones(de))
-            self._add(f"{p}.block1.norm.beta", np.zeros(de))
-            for w in ("wq", "wk", "wv", "wo"):
-                self._add(f"{p}.attn.{w}", kaiming_uniform((F, fe, fe), fe, rng, self.dtype))
-            for b in ("bq", "bk", "bv", "bo"):
-                self._add(f"{p}.attn.{b}", np.zeros((F, fe)))
-            self._add(f"{p}.block2.norm.gamma", np.ones(de))
-            self._add(f"{p}.block2.norm.beta", np.zeros(de))
-            self._add(f"{p}.block2.linear.w", kaiming_uniform((de, de), de, rng, self.dtype))
-            self._add(f"{p}.block2.linear.b", np.zeros(de))
-            for m, rb in enumerate(branches):
-                self._add(f"{p}.ml.tconv{m}.w", kaiming_uniform((de, rb.k), rb.k, rng, self.dtype))
-            self._add(f"{p}.ml.ffn.w", kaiming_uniform((F, M * fe, fe), M * fe, rng, self.dtype))
-            self._add(f"{p}.ml.ffn.b", np.zeros((F, fe)))
-
-        self._add("deembed.w", kaiming_uniform((F, fe), fe, rng, self.dtype))
-        self._add("deembed.b", np.zeros(F))
-
-        # classifier trunks: one per feature, identically initialized
-        N = cfg.n_layers
-        c1 = kaiming_uniform((AC_CONV1_OUT, N, AC_CONV1_K), N * AC_CONV1_K, rng, self.dtype)
-        c2 = kaiming_uniform((AC_CONV2_OUT, AC_CONV1_OUT, AC_CONV2_K),
-                             AC_CONV1_OUT * AC_CONV2_K, rng, self.dtype)
-        flat = AC_CONV2_OUT * AC_POOL_LEN
-        l1 = kaiming_uniform((flat, AC_TRUNK_HIDDEN), flat, rng, self.dtype)
-        l2 = kaiming_uniform((AC_TRUNK_HIDDEN, 1), AC_TRUNK_HIDDEN, rng, self.dtype)
-        self._add("ac.conv1.w", np.repeat(c1[None], F, axis=0))
-        self._add("ac.conv1.b", np.zeros((F, AC_CONV1_OUT)))
-        self._add("ac.conv2.w", np.repeat(c2[None], F, axis=0))
-        self._add("ac.conv2.b", np.zeros((F, AC_CONV2_OUT)))
-        self._add("ac.lin1.w", np.repeat(l1[None], F, axis=0))
-        self._add("ac.lin1.b", np.zeros((F, AC_TRUNK_HIDDEN)))
-        self._add("ac.lin2.w", np.repeat(l2[None], F, axis=0))
-        self._add("ac.lin2.b", np.zeros((F, 1)))
-        self.init_classifier_head(rng)
+        for name, shape, init in parameter_table(self.config):
+            self._add(name, _initial_value(shape, init, rng, self.dtype))
 
     def init_classifier_head(self, rng: np.random.Generator) -> None:
         """(Re)initialize the three ensemble linear layers of the classifier."""
-        F, C = self.config.F, self.config.num_classes
-        self._add("ac.head.w1", kaiming_uniform((F, AC_HIDDEN), F, rng, self.dtype))
-        self._add("ac.head.b1", np.zeros(AC_HIDDEN))
-        self._add("ac.head.w2", kaiming_uniform((AC_HIDDEN, AC_HIDDEN), AC_HIDDEN, rng, self.dtype))
-        self._add("ac.head.b2", np.zeros(AC_HIDDEN))
-        self._add("ac.head.w3", kaiming_uniform((AC_HIDDEN, C), AC_HIDDEN, rng, self.dtype))
-        self._add("ac.head.b3", np.zeros(C))
+        for name, shape, init in parameter_table(self.config):
+            if name.startswith("ac.head."):
+                self._add(name, _initial_value(shape, init, rng, self.dtype))
 
     # -- parameter bookkeeping ------------------------------------------------
 
@@ -408,7 +431,7 @@ class TsrmModel:
                        for k in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")}
         mha_out, reduced, full = attn.feature_separated_mha(
             gelu(g1), attn_params, cfg.attention_kind, cfg.heads, rng,
-            reduce_axis=cfg.attention_reduce_axis, record_full=record_full)
+            record_full=record_full)
         x = r + dropout(mha_out, cfg.dropout_p, training, rng)
 
         g2 = group_norm(x, cfg.F, self.t(f"el{layer}.block2.norm.gamma"),
@@ -576,14 +599,14 @@ def load_checkpoint(directory) -> TsrmModel:
         raise CorruptCheckpointError(
             f"params.bin holds {n_floats} floats but the manifest covers {total}")
 
-    # cross-check restored shapes against a freshly built skeleton
-    reference = TsrmModel(config, seed=0)
-    if set(reference.params) != set(model.params):
+    # cross-check restored shapes against the ones the config implies
+    expected = {name: shape for name, shape, _ in parameter_table(config)}
+    if set(expected) != set(model.params):
         raise ShapeMismatchError("manifest parameter set does not match the config")
-    for name, p in reference.params.items():
-        if model.params[name].data.shape != p.data.shape:
+    for name, shape in expected.items():
+        if model.params[name].data.shape != shape:
             raise ShapeMismatchError(
-                f"parameter {name}: config implies shape {p.data.shape}, "
+                f"parameter {name}: config implies shape {shape}, "
                 f"manifest stored {model.params[name].data.shape}")
     return model
 

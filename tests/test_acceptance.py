@@ -232,7 +232,7 @@ def test_criterion_03_attention_oracles():
         totals = reduce_map(Tensor(stochastic)).data.sum(axis=-1)
         np.testing.assert_allclose(totals, float(D), atol=1e-4)
 
-    report(3, f"entmax bisection vs closed form max err {worst:.1e} over 1000 "
+    report(3, f"entmax vs closed form max err {worst:.1e} over 1000 "
               f"vectors ({zero_cases} sparse); probsparse degenerates to vanilla; "
               f"map totals equal D")
 

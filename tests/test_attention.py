@@ -1,11 +1,13 @@
 """Tests for the attention mechanisms, checked against independent oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from tsrm.attention import (
+    _ENTMAX_BLOCK,
     AttentionKind,
     entmax15,
     entmax_attention,
@@ -15,7 +17,7 @@ from tsrm.attention import (
     reduce_map,
     vanilla_attention,
 )
-from tsrm.autodiff import Tensor, kaiming_uniform
+from tsrm.autodiff import Tensor, kaiming_uniform, no_grad
 from tsrm.errors import ConfigError
 
 from helpers import check_gradients, rand_tensor
@@ -110,9 +112,56 @@ class TestEntmax15:
             z[rng.integers(0, 7)] += 3.0  # avoid near-ties
             assert entmax15(Tensor(z)).data.argmax() == z.argmax()
 
-    def test_iteration_floor_enforced(self):
-        with pytest.raises(ConfigError, match="50"):
-            entmax15(Tensor([1.0, 2.0]), n_iter=10)
+    def test_float32_rows_match_exact_oracle(self):
+        # the model's setting: float32 scores, rows of D = 69
+        rng = np.random.default_rng(26)
+        z = rng.normal(0, 2.0, (2, 3, 69))
+        z[0, 0, [3, 17]] = z[0, 0].max() + 1.0                 # tied maxima
+        z[0, 1] = 0.375                                         # all equal
+        # dominant entry exactly 2 (on a quarter grid) or 3 above the rest
+        z[1, 0] = np.round(z[1, 0] * 4) / 4
+        z[1, 0, 5] = np.delete(z[1, 0], 5).max() + 2.0
+        z[1, 1, 60] = np.delete(z[1, 1], 60).max() + 3.0
+        z = z.astype(np.float32)
+        got = entmax15(Tensor(z)).data
+        assert got.dtype == np.float32
+        for idx in np.ndindex(2, 3):
+            np.testing.assert_allclose(got[idx], entmax15_exact(z[idx].astype(np.float64)),
+                                       rtol=0, atol=8 * np.finfo(np.float32).eps)
+        assert got[0, 0, 3] == got[0, 0, 17] > 0
+        np.testing.assert_array_equal(got[0, 1], np.full(69, got[0, 1, 0]))
+        for (b, r), hot in (((1, 0), 5), ((1, 1), 60)):
+            want = np.zeros(69, dtype=np.float32)
+            want[hot] = 1.0
+            np.testing.assert_array_equal(got[b, r], want)
+
+    def test_rows_at_block_boundaries_match_rows_alone(self):
+        rng = np.random.default_rng(27)
+        n = 69
+        step = _ENTMAX_BLOCK // n
+        z = rng.normal(0, 2.0, (2 * step + 3, n)).astype(np.float32)
+        got = entmax15(Tensor(z)).data
+        for i in (0, step - 1, step, 2 * step - 1, 2 * step, 2 * step + 2):
+            np.testing.assert_array_equal(got[i], entmax15(Tensor(z[i])).data)
+        # rows longer than the block budget are solved one at a time
+        long = rng.normal(0, 2.0, (2, _ENTMAX_BLOCK + 5))
+        got = entmax15(Tensor(long)).data
+        for i in range(2):
+            np.testing.assert_array_equal(got[i], entmax15(Tensor(long[i])).data)
+
+    def test_peak_memory_at_the_eval_shape(self):
+        # guards peak RSS: the solver's temporaries must not scale with the
+        # whole [F, B, h, D, D] score tensor
+        z = np.random.default_rng(28).normal(0, 2.0, (1, 64, 2, 69, 69)).astype(np.float32)
+        t = Tensor(z)
+        with no_grad():
+            tracemalloc.start()
+            try:
+                entmax15(t)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak <= 2.5 * z.nbytes, f"peak {peak / z.nbytes:.2f}x the input"
 
     def test_gradient(self):
         rng = np.random.default_rng(25)
@@ -277,12 +326,6 @@ class TestReduceMap:
         raw = rng.random((3, 9, 9))
         m = raw / raw.sum(axis=-1, keepdims=True)
         np.testing.assert_allclose(reduce_map(Tensor(m)).data.sum(axis=-1), 9.0, atol=1e-4)
-
-    def test_keys_axis_is_constant(self):
-        rng = np.random.default_rng(39)
-        raw = rng.random((4, 4))
-        m = raw / raw.sum(axis=-1, keepdims=True)
-        np.testing.assert_allclose(reduce_map(Tensor(m), axis="keys").data, 1.0, atol=1e-6)
 
     def test_unknown_axis_rejected(self):
         with pytest.raises(ConfigError):

@@ -361,6 +361,55 @@ class TestGraphAccumulation:
             np.testing.assert_allclose(analytic, numeric, rtol=1e-4, atol=1e-6)
 
 
+    def test_intermediate_grads_are_freed_and_leaf_grads_unchanged(self):
+        def build():
+            rng = np.random.default_rng(19)
+            a, w = rand_tensor(rng, 4, 3), rand_tensor(rng, 3, 5)
+            h = gelu(matmul(a, w) + 0.5)
+            out = (softmax(h, axis=-1) * h + sigmoid(h)).sum()  # h feeds three ops
+            return [a, w], out
+
+        def graph(root):
+            nodes, stack = {}, [root]
+            while stack:
+                node = stack.pop()
+                if id(node) not in nodes:
+                    nodes[id(node)] = node
+                    stack.extend(p for p in node._parents if p.requires_grad)
+            return list(nodes.values())
+
+        def backward_keeping_grads(root):
+            # the engine's walk, in its order, without the freeing: the reference
+            topo, seen, stack = [], set(), [(root, False)]
+            while stack:
+                node, expanded = stack.pop()
+                if expanded:
+                    topo.append(node)
+                    continue
+                if id(node) in seen:
+                    continue
+                seen.add(id(node))
+                stack.append((node, True))
+                stack.extend((p, False) for p in node._parents
+                             if p.requires_grad and id(p) not in seen)
+            root._accumulate(np.ones_like(root.data))
+            for node in reversed(topo):
+                if node._backward is not None and node.grad is not None:
+                    node._backward(node.grad)
+
+        leaves, out = build()
+        inner = [n for n in graph(out) if n._backward is not None]
+        assert len(inner) > 5
+        out.backward()
+        assert all(n.grad is None for n in inner)
+
+        ref_leaves, ref_out = build()
+        backward_keeping_grads(ref_out)
+        assert all(n.grad is not None for n in graph(ref_out))
+        for got, want in zip(leaves, ref_leaves):
+            np.testing.assert_array_equal(got.grad, want.grad)
+
+
 class TestNoGrad:
     def make(self):
         rng = np.random.default_rng(21)

@@ -421,6 +421,42 @@ class TestCheckpointing:
         with pytest.raises(UnsupportedVersionError):
             load_checkpoint(tmp_path / "ckpt")
 
+    def test_load_initializes_no_parameters(self, tmp_path, monkeypatch):
+        # shapes are checked against the config's parameter table, not
+        # against a freshly initialized model
+        model = TsrmModel(small_config(F=2, f_embed=8), seed=38)
+        save_checkpoint(model, tmp_path / "ckpt")
+
+        def no_init(self, rng):
+            raise AssertionError("load_checkpoint initialized a model")
+
+        monkeypatch.setattr(TsrmModel, "_init_params", no_init)
+        restored = load_checkpoint(tmp_path / "ckpt")
+        assert list(restored.params) == list(model.params)
+        for name, p in model.params.items():
+            np.testing.assert_array_equal(restored.params[name].data, p.data)
+
+    def test_v1_manifest_with_reduce_axis_loads(self, tmp_path):
+        import json
+        model = TsrmModel(small_config(), seed=36)
+        save_checkpoint(model, tmp_path / "ckpt")
+        path = tmp_path / "ckpt" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        assert manifest["format_version"] == 1
+        assert "attention_reduce_axis" not in manifest["config"]
+        manifest["config"]["attention_reduce_axis"] = "queries"
+        path.write_text(json.dumps(manifest))
+        restored = load_checkpoint(tmp_path / "ckpt")
+        assert restored.config.to_dict() == model.config.to_dict()
+        x = np.random.default_rng(37).random((2, 24, 1)).astype(np.float32)
+        np.testing.assert_array_equal(restored.forward(x).output.data,
+                                      model.forward(x).output.data)
+
+        manifest["config"]["attention_reduce_axis"] = "keys"
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ConfigError, match="reduce axis"):
+            load_checkpoint(tmp_path / "ckpt")
+
     def test_invalid_json(self, tmp_path):
         model = TsrmModel(small_config(), seed=34)
         save_checkpoint(model, tmp_path / "ckpt")
