@@ -1,14 +1,20 @@
 """Self-attention mechanisms and the feature-separated multi-head wrapper.
 
 Three interchangeable kinds: dense softmax attention, entmax-1.5 sparse
-attention (exact sort-based threshold, rows may contain exact zeros), and a
-prob-sparse variant that computes full rows only for the queries with the
-highest max-minus-mean sparsity score and hands every other query the mean
-of the values (equivalently: a uniform attention row).
+attention (exact sort-based threshold, rows may contain exact zeros), and
+prob-sparse attention after Informer (Zhou et al., AAAI 2021). Prob-sparse
+scores each query against u = ceil(c ln D) sampled keys, computes softmax
+rows over all D keys only for the u queries of each slice with the highest
+max-minus-mean score, and hands every other query the mean of the values
+(the output of a uniform row). Only the selected rows enter the autodiff
+graph: its scores, weights and their gradients are [..., u, D], not
+[..., D, D].
 
 Recorded attention maps are row-stochastic for every kind; the reduced
 per-feature map vector sums over the query axis, measuring how much
-attention each representation position receives.
+attention each representation position receives. Prob-sparse computes it
+from the selected rows alone, each uniform row adding 1/D to every
+position, and builds its dense map only when one is asked for.
 """
 
 from __future__ import annotations
@@ -142,40 +148,110 @@ def probsparse_top_u(D: int, c: float) -> int:
     return min(D, math.ceil(c * math.log(D))) if D > 1 else 1
 
 
-def probsparse_attention(q: Tensor, k: Tensor, v: Tensor, c: float,
-                         rng: np.random.Generator):
-    """Prob-sparse attention: full softmax rows only for the top-u queries.
+def _top_queries(q: np.ndarray, k: np.ndarray, u: int, rng: np.random.Generator) -> np.ndarray:
+    """Indices [..., u] of the u queries of each slice with the highest
+    sparsity score, max - mean of its scaled scores against u sampled keys.
 
-    Query sparsity is scored as max - mean of the scaled scores against u
-    sampled keys; non-selected queries receive the uniform row (their output
-    is the mean of the values). Sampling is driven by the supplied seeded
-    generator and shared across batch and head slices.
+    Each query gets its own u keys, drawn without replacement from one
+    ``rng.random((D, D))`` and shared by every leading (feature, batch,
+    head) slice. The sampled scores are read from a data-only q k^T: one
+    BLAS product is faster than gathering u keys per query, and the product
+    is freed on return.
     """
-    D = q.shape[-2]
-    d_h = q.shape[-1]
+    D, d_h = q.shape[-2:]
+    keys = np.argsort(rng.random((D, D)), axis=-1)[:, :u]               # [D, u]
+    scores = q @ np.swapaxes(k, -1, -2)
+    sampled = np.take(scores.reshape(scores.shape[:-2] + (D * D,)),
+                      keys + D * np.arange(D)[:, None], axis=-1)        # [..., D, u]
+    sampled *= np.asarray(1.0 / math.sqrt(d_h), dtype=sampled.dtype)
+    sparsity = sampled.max(axis=-1) - sampled.mean(axis=-1)
+    return np.argsort(-sparsity, axis=-1, kind="stable")[..., :u]
+
+
+def _take_rows(x: Tensor, index: np.ndarray) -> Tensor:
+    """Rows ``index`` [..., u] of x [..., D, d]; indices are distinct per slice."""
+    idx = index[..., None]
+    data = np.take_along_axis(x.data, idx, axis=-2)
+
+    def backward(g):
+        gx = np.zeros_like(x.data)
+        np.put_along_axis(gx, idx, g, axis=-2)
+        x._accumulate(gx)
+
+    return _make(data, (x,), backward, "take_rows")
+
+
+def _fill_rows(rows: Tensor, fill: Tensor, index: np.ndarray, D: int) -> Tensor:
+    """[..., D, d] holding rows [..., u, d] at ``index`` [..., u] and the
+    row fill [..., 1, d] everywhere else."""
+    idx = index[..., None]
+    data = np.repeat(fill.data, D, axis=-2)
+    np.put_along_axis(data, idx, rows.data, axis=-2)
+
+    def backward(g):
+        if rows.requires_grad:
+            rows._accumulate(np.take_along_axis(g, idx, axis=-2))
+        if fill.requires_grad:
+            rest = g.copy()
+            np.put_along_axis(rest, idx, 0, axis=-2)
+            fill._accumulate(rest.sum(axis=-2, keepdims=True))
+
+    return _make(data, (rows, fill), backward, "fill_rows")
+
+
+def _dense_map(weights: Tensor, index) -> Tensor:
+    """Head-averaged [..., D, D] map with the selected rows ``weights``
+    [..., h, u, D] at queries ``index`` [..., h, u] and 1/D in every other
+    row; ``index`` None means weights already holds every row in order."""
+    if index is None:
+        return _head_average_map(weights)
+    h, _, D = weights.shape[-3:]
+    idx = index[..., None]
+    rows = np.full(weights.shape[:-2] + (D, D), 1.0 / D, dtype=weights.dtype)
+    np.put_along_axis(rows, idx, weights.data, axis=-2)
+
+    def backward(g):
+        weights._accumulate(np.take_along_axis(np.expand_dims(g / h, -3), idx, axis=-2))
+
+    return _make(rows.mean(axis=-3), (weights,), backward, "dense_map")
+
+
+def _reduce_rows(weights: Tensor) -> Tensor:
+    """``reduce_map`` of the dense map of selected rows [..., h, u, D],
+    without building it: the head mean of their column sums, plus 1/D from
+    each of the D - u uniform rows."""
+    h, u, D = weights.shape[-3:]
+    return weights.sum(axis=(-3, -2)) * (1.0 / h) + (D - u) / D
+
+
+def probsparse_attention(q: Tensor, k: Tensor, v: Tensor, c: float,
+                         rng: np.random.Generator, dense_map: bool = True):
+    """Prob-sparse attention (Informer): softmax rows only for the top-u queries.
+
+    u = ceil(c ln D) queries per slice are selected by ``_top_queries``.
+    Their rows of q are gathered and only their [..., h, u, D] scores,
+    softmax and values are computed; every other query's output is the
+    mean of the values, the output of a uniform row. Sampling is driven by
+    the supplied seeded generator. When u >= D every query is kept and
+    this is vanilla attention, with no sampling.
+
+    Returns (values [..., h, D, d_h], head-averaged map [..., D, D]). With
+    ``dense_map=False`` the map comes as the pair (selected-row weights
+    [..., h, u, D], their query indices [..., h, u] or None when u >= D),
+    and no D x D array is built.
+    """
+    D, d_h = q.shape[-2:]
     u = probsparse_top_u(D, c)
-    scores = matmul(q, k.transpose(*range(k.ndim - 2), k.ndim - 1, k.ndim - 2))
-    scores = scores * (1.0 / math.sqrt(d_h))
-
-    if u >= D:
-        weights = softmax(scores, axis=-1)
-        return matmul(weights, v), _head_average_map(weights)
-
-    # one sampled key set per query, without replacement
-    sample_idx = np.argsort(rng.random((D, D)), axis=-1)[:, :u]         # [D, u]
-    sampled = np.take_along_axis(
-        scores.data, sample_idx.reshape((1,) * (scores.ndim - 2) + (D, u)), axis=-1
-    )                                                                   # [..., D, u]
-    sparsity = sampled.max(axis=-1) - sampled.mean(axis=-1)             # [..., D]
-    order = np.argsort(-sparsity, axis=-1, kind="stable")
-    selected = np.zeros(sparsity.shape, dtype=scores.data.dtype)
-    np.put_along_axis(selected, order[..., :u], 1.0, axis=-1)
-
-    full = softmax(scores, axis=-1)
-    sel = Tensor(selected[..., None])
-    uniform = Tensor(np.asarray((1.0 - selected[..., None]) / D, dtype=scores.data.dtype))
-    weights = full * sel + uniform
-    return matmul(weights, v), _head_average_map(weights)
+    index = _top_queries(q.data, k.data, u, rng) if u < D else None
+    rows = q if index is None else _take_rows(q, index)
+    scores = matmul(rows, k.transpose(*range(k.ndim - 2), k.ndim - 1, k.ndim - 2))
+    weights = softmax(scores * (1.0 / math.sqrt(d_h)), axis=-1)
+    values = matmul(weights, v)
+    if index is not None:
+        values = _fill_rows(values, v.mean(axis=-2, keepdims=True), index, D)
+    if not dense_map:
+        return values, (weights, index)
+    return values, _dense_map(weights, index)
 
 
 def reduce_map(map_tensor: Tensor, axis: str = "queries") -> Tensor:
@@ -219,18 +295,21 @@ def feature_separated_mha(r: Tensor, params: dict, kind: AttentionKind, heads: i
     k = project(params["wk"], params["bk"])
     v = project(params["wv"], params["bv"])
 
-    if kind.kind == "vanilla":
-        values, avg_map = vanilla_attention(q, k, v)
-    elif kind.kind == "entmax15":
-        values, avg_map = entmax_attention(q, k, v)
+    if kind.kind == "probsparse":
+        values, (weights, index) = probsparse_attention(q, k, v, kind.probsparse_factor,
+                                                        rng, dense_map=False)
+        reduced = _reduce_rows(weights)
+        avg_map = _dense_map(weights, index) if record_full else None
     else:
-        values, avg_map = probsparse_attention(q, k, v, kind.probsparse_factor, rng)
+        attend = vanilla_attention if kind.kind == "vanilla" else entmax_attention
+        values, avg_map = attend(q, k, v)
+        reduced = reduce_map(avg_map)
 
     merged = values.transpose(0, 1, 3, 2, 4).reshape(F, B, D, f_embed)
     out = matmul(merged, params["wo"].reshape(F, 1, f_embed, f_embed))
     out = out + params["bo"].reshape(F, 1, 1, f_embed)
     out = out.transpose(1, 2, 0, 3).reshape(B, D, E)
 
-    reduced = reduce_map(avg_map).transpose(1, 0, 2)                    # [B, F, D]
+    reduced = reduced.transpose(1, 0, 2)                                # [B, F, D]
     full = np.ascontiguousarray(avg_map.data.transpose(1, 0, 2, 3)) if record_full else None
     return out, reduced, full

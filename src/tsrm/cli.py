@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 runtime failure, 2 usage/config error,
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import logging
 import os
@@ -19,6 +20,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .data import (
     DatasetSpec,
@@ -110,8 +112,40 @@ def _load_eval_windows(spec: DatasetSpec, csv_path, window_T: int,
     return window(norm, window_T, spec.stride, labels=labels), names
 
 
+# thread-count getters of the OpenBLAS builds numpy ships or links against
+_OPENBLAS_THREAD_GETTERS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                            "openblas_get_num_threads")
+
+
+def _openblas_threads():
+    """Thread count of the OpenBLAS numpy loaded into this process, asked of
+    the library itself; None for another BLAS or off Linux."""
+    try:
+        maps = Path("/proc/self/maps").read_text()
+    except OSError:
+        return None
+    paths = {line.split()[-1] for line in maps.splitlines() if "openblas" in line.lower()}
+    numpy_dir = os.path.dirname(np.__file__)
+    # numpy's own copy first: scipy may load a second OpenBLAS of its own
+    for path in sorted(paths, key=lambda p: not p.startswith(numpy_dir)):
+        lib = ctypes.CDLL(path)
+        for getter in _OPENBLAS_THREAD_GETTERS:
+            if hasattr(lib, getter):
+                return int(getattr(lib, getter)())
+    return None
+
+
+def _environment() -> dict:
+    """Library versions and BLAS threading, recorded with every run."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {"python": sys.version.split()[0], "numpy": np.__version__,
+            "scipy": scipy.__version__, "blas": blas.get("name"),
+            "blas_version": blas.get("version"), "blas_threads": _openblas_threads()}
+
+
 def _write_effective_config(out_dir: Path, payload: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
+    payload = {**payload, "environment": _environment()}
     (out_dir / "effective_config.json").write_text(json.dumps(payload, indent=1))
     logger.info("effective config: %s", json.dumps(payload))
 

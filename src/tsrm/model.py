@@ -13,6 +13,7 @@ parameter count depends only on the hyperparameters, never on the data or
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -40,12 +41,17 @@ from .autodiff import (
 from .errors import (
     ConfigError,
     CorruptCheckpointError,
+    DataError,
     MissingCheckpointError,
     ShapeMismatchError,
     UnsupportedVersionError,
 )
 
 CHECKPOINT_VERSION = 1
+
+# model-input token of a value the model must not see; normalized values lie
+# in [0, 1], so it never occurs naturally
+MISSING_TOKEN = -1.0
 
 # attention-map classifier trunk dimensions (recorded in the effective
 # config for reproducibility)
@@ -486,6 +492,12 @@ class TsrmModel:
         x = np.asarray(x, dtype=self.dtype)
         if x.ndim != 3 or x.shape[1] != cfg.T or x.shape[2] != cfg.F:
             raise ConfigError(f"expected input [B, {cfg.T}, {cfg.F}], got {x.shape}")
+        bad = ~(((x >= 0) & (x <= 1)) | (x == MISSING_TOKEN))
+        if bad.any():
+            b, t, f = np.argwhere(bad)[0]
+            raise DataError(f"model input at (b, t, f) = ({b}, {t}, {f}) is {x[b, t, f]}; "
+                            f"inputs must be finite and in [0, 1], or {MISSING_TOKEN:g} "
+                            f"where a value is missing")
         if rng is None:
             rng = np.random.default_rng(0)
 
@@ -528,7 +540,11 @@ class TsrmModel:
 
 
 def save_checkpoint(model: TsrmModel, directory) -> None:
-    """Write manifest.json plus params.bin (little-endian float32 blobs)."""
+    """Write manifest.json plus params.bin (little-endian float32 blobs).
+
+    A save that fails while writing leaves the earlier checkpoint as it was
+    (see ``_replace_files``).
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -548,8 +564,25 @@ def save_checkpoint(model: TsrmModel, directory) -> None:
         "task_spec": model.task_spec,
         "params": entries,
     }
-    (directory / "manifest.json").write_text(json.dumps(manifest, indent=1))
-    (directory / "params.bin").write_bytes(b"".join(blobs))
+    _replace_files(directory, {"params.bin": b"".join(blobs),
+                               "manifest.json": json.dumps(manifest, indent=1).encode()})
+
+
+def _replace_files(directory: Path, contents: dict) -> None:
+    """Write each file in full under a temporary name in ``directory``, then
+    rename each over its final name. When a write fails, the temporary
+    files are removed and every final file is left untouched."""
+    staged = []
+    try:
+        for name, data in contents.items():
+            tmp = directory / f".{name}.{os.getpid()}.tmp"
+            staged.append((tmp, directory / name))
+            tmp.write_bytes(data)
+        for tmp, final in staged:
+            os.replace(tmp, final)
+    finally:
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(directory) -> TsrmModel:

@@ -17,9 +17,8 @@ import numpy as np
 
 from .autodiff import Tensor, bce_with_logits
 from .errors import ConfigError
-from .model import ForwardTrace
+from .model import MISSING_TOKEN, ForwardTrace
 
-MISSING_TOKEN = -1.0
 MASK_FRACTION_RANGE = (0.30, 0.50)
 SUBSET_FRACTION_RANGE = (0.05, 0.10)
 INVALID_RATE = 0.20

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import tsrm.attention as attention
 from tsrm.attention import (
     _ENTMAX_BLOCK,
     AttentionKind,
@@ -17,8 +18,9 @@ from tsrm.attention import (
     reduce_map,
     vanilla_attention,
 )
-from tsrm.autodiff import Tensor, kaiming_uniform, no_grad
+from tsrm.autodiff import Tensor, kaiming_uniform, matmul, no_grad, softmax
 from tsrm.errors import ConfigError
+from tsrm.model import ModelConfig, TsrmModel
 
 from helpers import check_gradients, rand_tensor
 
@@ -55,6 +57,30 @@ def dense_attention_oracle(q, k, v):
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     w = e / e.sum(axis=-1, keepdims=True)
     return w @ v, w
+
+
+def probsparse_masked_dense(q, k, v, c, rng):
+    """Prob-sparse attention computed densely, on the autodiff graph.
+
+    Scores and softmax for all D queries, then every row of a non-selected
+    query replaced by the uniform row. Selection samples the keys and ranks
+    the queries the same way as the sparse path, so both pick the same
+    rows; only the arithmetic after the selection differs.
+    """
+    D, d_h = q.shape[-2:]
+    u = probsparse_top_u(D, c)
+    scores = matmul(q, k.transpose(*range(k.ndim - 2), k.ndim - 1, k.ndim - 2))
+    scores = scores * (1.0 / math.sqrt(d_h))
+    sample_idx = np.argsort(rng.random((D, D)), axis=-1)[:, :u]
+    sampled = np.take_along_axis(
+        scores.data, sample_idx.reshape((1,) * (scores.ndim - 2) + (D, u)), axis=-1)
+    sparsity = sampled.max(axis=-1) - sampled.mean(axis=-1)
+    order = np.argsort(-sparsity, axis=-1, kind="stable")
+    selected = np.zeros(sparsity.shape, dtype=scores.data.dtype)
+    np.put_along_axis(selected, order[..., :u], 1.0, axis=-1)
+    uniform = Tensor(np.asarray((1.0 - selected[..., None]) / D, dtype=scores.data.dtype))
+    weights = softmax(scores, axis=-1) * Tensor(selected[..., None]) + uniform
+    return matmul(weights, v), weights.mean(axis=-3)
 
 
 # ---------------------------------------------------------------------------
@@ -474,3 +500,98 @@ class TestFeatureSeparatedMha:
             return (out * Tensor(w_out)).sum()
 
         check_gradients(loss, [r, params["wq"], params["wv"]], tol=5e-4)
+
+
+# ---------------------------------------------------------------------------
+# the sparse prob-sparse path
+# ---------------------------------------------------------------------------
+
+# sizes with u < D: (D, c, u) = (12, 2, 5), (24, 2, 7), (33, 1, 4), (40, 3, 12)
+SPARSE_CASES = [(12, 2.0), (24, 2.0), (33, 1.0), (40, 3.0)]
+
+
+class TestProbsparseSparsePath:
+    """The sparse path against the masked-dense oracle, in float64."""
+
+    @pytest.mark.parametrize("D,c", SPARSE_CASES)
+    def test_values_map_and_input_gradients_match_oracle(self, D, c):
+        assert probsparse_top_u(D, c) < D
+        rng = np.random.default_rng(D)
+        q, k, v = (rand_tensor(rng, 2, 3, D, 4) for _ in range(3))
+        w_out = rng.standard_normal((2, 3, D, 4))
+        w_map = rng.standard_normal((2, D, D))
+        results = []
+        for kernel in (probsparse_attention, probsparse_masked_dense):
+            for t in (q, k, v):
+                t.zero_grad()
+            out, amap = kernel(q, k, v, c, np.random.default_rng(9))
+            ((out * Tensor(w_out)).sum() + (amap * Tensor(w_map)).sum()).backward()
+            results.append((out.data, amap.data, q.grad, k.grad, v.grad))
+        for got, want in zip(*results):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("D,c", SPARSE_CASES)
+    def test_mha_outputs_reduced_full_maps_and_gradients_match_oracle(self, D, c,
+                                                                      monkeypatch):
+        rng = np.random.default_rng(100 + D)
+        F, f_embed, h, B = 2, 4, 2, 2
+        params = make_attention_params(rng, F, f_embed)
+        r = rand_tensor(rng, B, D, F * f_embed)
+        w_out = rng.standard_normal((B, D, F * f_embed))
+        w_red = rng.standard_normal((B, F, D))
+        leaves = [r] + list(params.values())
+
+        def run(kind):
+            for t in leaves:
+                t.zero_grad()
+            out, reduced, full = feature_separated_mha(r, params, AttentionKind(kind, c), h,
+                                                       np.random.default_rng(4),
+                                                       record_full=True)
+            ((out * Tensor(w_out)).sum() + (reduced * Tensor(w_red)).sum()).backward()
+            return [out.data, reduced.data, full] + [t.grad for t in leaves]
+
+        got = run("probsparse")
+        # the vanilla branch of the wrapper, running the oracle, is the wrapper
+        # as it was before the sparse path: reduce_map over the dense map
+        monkeypatch.setattr(attention, "vanilla_attention", lambda q, k, v: (
+            probsparse_masked_dense(q, k, v, c, np.random.default_rng(4))))
+        want = run("vanilla")
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+    def test_reduced_map_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(48)
+        F, f_embed, h, B, D = 1, 4, 2, 1, 12
+        params = make_attention_params(rng, F, f_embed)
+        r = rand_tensor(rng, B, D, F * f_embed)
+        kind = AttentionKind("probsparse", probsparse_factor=2.0)
+        w_red = rng.standard_normal((B, F, D))
+
+        def loss():
+            _, reduced, _ = feature_separated_mha(r, params, kind, h,
+                                                  np.random.default_rng(3))
+            return (reduced * Tensor(w_red)).sum()
+
+        check_gradients(loss, [r, params["wq"], params["wk"], params["bq"], params["bk"]],
+                        tol=5e-4)
+
+    @pytest.mark.parametrize("kind", ["probsparse", "vanilla"])
+    def test_training_graph_holds_no_d_by_d_node(self, kind):
+        cfg = ModelConfig(T=48, F=2, f_embed=4, n_layers=2, heads=2, attention=kind,
+                          branches=[{"kernel": 3, "dilation": 1}])
+        D = cfg.D
+        assert probsparse_top_u(D, cfg.probsparse_factor) < D
+        model = TsrmModel(cfg, seed=5)
+        x = np.random.default_rng(5).random((3, cfg.T, cfg.F)).astype(np.float32)
+        trace = model.forward(x, training=True, rng=np.random.default_rng(6))
+        seen, stack, square = set(), [trace.output, trace.class_logits], []
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            if node.shape[-2:] == (D, D):
+                square.append(node._op)
+            stack.extend(node._parents)
+        # vanilla shows that the walk finds the D x D scores when they exist
+        assert (not square) if kind == "probsparse" else ("softmax" in square)

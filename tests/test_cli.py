@@ -7,7 +7,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy
 
+import tsrm.cli as cli
 from tsrm.cli import main
 
 
@@ -94,6 +96,12 @@ class TestPretrainCommand:
         assert effective["model"]["T"] == 24  # defaults materialized
         assert effective["model"]["alpha"] == 3.5
         assert effective["train"]["early_stop"]["patience"] == 5
+        env = effective["environment"]
+        assert env["numpy"] == np.__version__
+        assert env["scipy"] == scipy.__version__
+        assert env["blas"] and env["blas_version"]
+        threads = env["blas_threads"]
+        assert threads is None or (isinstance(threads, int) and threads >= 1)
 
     def test_seed_repetition_reproduces_params(self, workspace, capsys):
         tmp, csv_path, cfg_path = workspace
@@ -162,6 +170,32 @@ class TestFinetuneAndEval:
         assert code == 2
         assert capsys.readouterr().out == ""
         assert "no observed target" in caplog.text
+
+    def test_out_of_range_model_input_exits_with_data_error_code(self, tmp_path, capsys,
+                                                                  caplog, monkeypatch):
+        from tsrm.finetune import TaskSpec, prepare_finetune
+        from tsrm.model import ModelConfig, TsrmModel, save_checkpoint
+        cfg = ModelConfig(T=24, F=1, f_embed=4, n_layers=1, heads=2,
+                          branches=[{"kernel": 3, "dilation": 1}], dropout_p=0.0)
+        model = prepare_finetune(TsrmModel(cfg, seed=0),
+                                 TaskSpec("forecast", horizon=8, input_len=24))
+        save_checkpoint(model, tmp_path / "fc")
+        csv_path = write_sine_csv(tmp_path / "series.csv", n_rows=96)
+        (tmp_path / "data.json").write_text(json.dumps({"data": {"window": 32, "stride": 32}}))
+        normalize = cli.normalize
+
+        def broken_normalize(values, stats):
+            # stands in for a normalization that lets a value out of [0, 1]
+            out, clamped = normalize(values, stats)
+            out[32 + 3, 0] = 7.0
+            return out, clamped
+
+        monkeypatch.setattr(cli, "normalize", broken_normalize)
+        code = run(["eval", "--model", str(tmp_path / "fc"), "--test-csv", str(csv_path),
+                    "--config", str(tmp_path / "data.json")])
+        assert code == 2
+        assert capsys.readouterr().out == ""
+        assert "(b, t, f) = (1, 3, 0) is 7.0" in caplog.text
 
     def test_horizon_with_classify_rejected(self, workspace):
         tmp, csv_path, cfg_path = workspace

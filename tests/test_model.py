@@ -1,13 +1,17 @@
 """Tests for the encoder stack, classifier, and checkpointing."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from tsrm.autodiff import Tensor, dropout, gelu, group_norm, matmul
+from tsrm.autodiff import Tensor, dropout, gelu, group_norm, matmul, no_grad
 from tsrm.attention import feature_separated_mha
 from tsrm.errors import (
     ConfigError,
     CorruptCheckpointError,
+    DataError,
     MissingCheckpointError,
     ShapeMismatchError,
     UnsupportedVersionError,
@@ -317,6 +321,25 @@ class TestForward:
         with pytest.raises(ConfigError, match="expected input"):
             model.forward(np.zeros((1, 10, 1), dtype=np.float32))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 7.0, -0.5, 1.0001, -1.5])
+    def test_input_outside_unit_interval_and_missing_token_rejected(self, bad):
+        model = TsrmModel(small_config(F=2), seed=26)
+        x = np.random.default_rng(27).random((3, 24, 2)).astype(np.float32)
+        x[0, 3, 0] = -1.0
+        x[1, 5, 1] = bad
+        x[2, 0, 0] = bad
+        with pytest.raises(DataError, match=r"\(b, t, f\) = \(1, 5, 1\) is "):
+            model.forward(x)
+        with no_grad(), pytest.raises(DataError):
+            model.forward(x)
+
+    def test_unit_interval_bounds_and_missing_token_accepted(self):
+        model = TsrmModel(small_config(), seed=26)
+        x = np.zeros((1, 24, 1), dtype=np.float32)
+        x[0, :8, 0] = 1.0
+        x[0, 8:16, 0] = -1.0
+        assert np.isfinite(model.forward(x).output.data).all()
+
 
 class TestParameterCount:
     def test_counted_equals_formula(self):
@@ -388,6 +411,39 @@ class TestCheckpointing:
         after = restored.forward(x)
         np.testing.assert_array_equal(before.output.data, after.output.data)
         np.testing.assert_array_equal(before.class_logits.data, after.class_logits.data)
+
+    @pytest.mark.parametrize("failure", ["second write", "rename"])
+    def test_failed_save_leaves_earlier_checkpoint_intact(self, tmp_path, monkeypatch, failure):
+        model = TsrmModel(small_config(), seed=32)
+        save_checkpoint(model, tmp_path)
+        files = {name: (tmp_path / name).read_bytes() for name in ("manifest.json", "params.bin")}
+        x = np.random.default_rng(33).random((2, 24, 1)).astype(np.float32)
+        want = model.forward(x).output.data
+
+        model.params["embed.w"].tensor.data = model.params["embed.w"].data + 1
+        if failure == "second write":
+            # the disk fills up after the first file was written in full
+            write_bytes, calls = Path.write_bytes, []
+
+            def fill_up(path, data):
+                calls.append(path)
+                if len(calls) == 2:
+                    raise OSError("no space left on device")
+                return write_bytes(path, data)
+
+            monkeypatch.setattr(Path, "write_bytes", fill_up)
+        else:
+            def refuse(src, dst):
+                raise OSError("rename refused")
+
+            monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError):
+            save_checkpoint(model, tmp_path)
+
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+        for name, data in files.items():
+            assert (tmp_path / name).read_bytes() == data
+        np.testing.assert_array_equal(load_checkpoint(tmp_path).forward(x).output.data, want)
 
     def test_missing_checkpoint(self, tmp_path):
         with pytest.raises(MissingCheckpointError):
