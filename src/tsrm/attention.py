@@ -181,22 +181,24 @@ def _take_rows(x: Tensor, index: np.ndarray) -> Tensor:
     return _make(data, (x,), backward, "take_rows")
 
 
-def _fill_rows(rows: Tensor, fill: Tensor, index: np.ndarray, D: int) -> Tensor:
+def _fill_rows(rows: Tensor, v: Tensor, index: np.ndarray) -> Tensor:
     """[..., D, d] holding rows [..., u, d] at ``index`` [..., u] and the
-    row fill [..., 1, d] everywhere else."""
+    mean of the D rows of v [..., D, d] everywhere else."""
+    D = v.shape[-2]
+    scale = np.asarray(1.0 / D, dtype=v.dtype)
     idx = index[..., None]
-    data = np.repeat(fill.data, D, axis=-2)
+    data = np.repeat(v.data.sum(axis=-2, keepdims=True) * scale, D, axis=-2)
     np.put_along_axis(data, idx, rows.data, axis=-2)
 
     def backward(g):
         if rows.requires_grad:
             rows._accumulate(np.take_along_axis(g, idx, axis=-2))
-        if fill.requires_grad:
+        if v.requires_grad:
             rest = g.copy()
             np.put_along_axis(rest, idx, 0, axis=-2)
-            fill._accumulate(rest.sum(axis=-2, keepdims=True))
+            v._accumulate(np.broadcast_to(rest.sum(axis=-2, keepdims=True) * scale, v.shape))
 
-    return _make(data, (rows, fill), backward, "fill_rows")
+    return _make(data, (rows, v), backward, "fill_rows")
 
 
 def _dense_map(weights: Tensor, index) -> Tensor:
@@ -248,21 +250,18 @@ def probsparse_attention(q: Tensor, k: Tensor, v: Tensor, c: float,
     weights = softmax(scores * (1.0 / math.sqrt(d_h)), axis=-1)
     values = matmul(weights, v)
     if index is not None:
-        values = _fill_rows(values, v.mean(axis=-2, keepdims=True), index, D)
+        values = _fill_rows(values, v, index)
     if not dense_map:
         return values, (weights, index)
     return values, _dense_map(weights, index)
 
 
-def reduce_map(map_tensor: Tensor, axis: str = "queries") -> Tensor:
+def reduce_map(map_tensor: Tensor) -> Tensor:
     """Reduce a row-stochastic [..., D, D] map to a per-position vector by
     summing over the query axis (attention received per position).
 
-    Summing each row instead would give a constant vector of ones, so the
-    query axis is the only one accepted.
+    Summing each row instead would give a constant vector of ones.
     """
-    if axis != "queries":
-        raise ConfigError(f"unknown attention reduce axis {axis!r}")
     return map_tensor.sum(axis=-2)
 
 

@@ -582,33 +582,38 @@ def conv1d_transpose_depthwise(x: Tensor, kernel: Tensor, dilation: int,
 
 
 def conv1d(x: Tensor, weight: Tensor, bias: Optional[Tensor], stride: int = 1) -> Tensor:
-    """Full valid 1-d convolution (no dilation).
+    """Full valid 1-d convolution (no dilation), over optional leading group axes.
 
-    x: [B, C_in, L], weight: [C_out, C_in, k], bias: [C_out] -> [B, C_out, L_out].
+    x: [..., B, C_in, L], weight: [..., C_out, C_in, k], bias: [..., C_out]
+    -> [..., B, C_out, L_out]. The leading axes of x, weight and bias are
+    the same groups: group g of x is convolved with group g of the weight
+    only, as if by a separate call.
     """
-    B, Cin, L = x.data.shape
-    Cout, Cin_w, k = weight.data.shape
-    if Cin_w != Cin:
-        raise ConfigError(f"conv1d weight expects {Cin_w} input channels, input has {Cin}")
+    *lead, B, Cin, L = x.data.shape
+    *lead_w, Cout, Cin_w, k = weight.data.shape
+    if lead_w != lead or Cin_w != Cin:
+        raise ConfigError(f"conv1d weight {weight.data.shape} does not fit input {x.data.shape}: "
+                          f"group axes and input channels must agree")
     L_out = conv_output_length(L, k, 1, stride)
     starts = np.arange(L_out) * stride
     idx = starts[:, None] + np.arange(k)[None, :]          # [L_out, k]
-    windows = x.data[:, :, idx]                            # [B, Cin, L_out, k]
-    out = np.einsum("bilk,oik->bol", windows, weight.data, optimize=True)
+    windows = x.data[..., idx]                             # [..., B, Cin, L_out, k]
+    out = np.einsum("...bilk,...oik->...bol", windows, weight.data, optimize=True)
     if bias is not None:
-        out += bias.data[None, :, None]
+        out += bias.data[..., None, :, None]
     out = out.astype(x.data.dtype)
 
     def backward(g):
         if x.requires_grad:
-            gw = np.einsum("bol,oik->bilk", g, weight.data, optimize=True)
+            gw = np.einsum("...bol,...oik->...bilk", g, weight.data, optimize=True)
             gx = np.zeros_like(x.data)
-            np.add.at(gx, (slice(None), slice(None), idx), gw)
+            np.add.at(gx, (..., idx), gw)
             x._accumulate(gx)
         if weight.requires_grad:
-            weight._accumulate(np.einsum("bol,bilk->oik", g, windows, optimize=True).astype(weight.data.dtype))
+            weight._accumulate(np.einsum("...bol,...bilk->...oik", g, windows,
+                                         optimize=True).astype(weight.data.dtype))
         if bias is not None and bias.requires_grad:
-            bias._accumulate(g.sum(axis=(0, 2)))
+            bias._accumulate(g.sum(axis=(-3, -1)))
 
     parents = (x, weight, bias) if bias is not None else (x, weight)
     return _make(out, parents, backward, "conv1d")
@@ -637,22 +642,24 @@ def maxpool1d(x: Tensor, k: int, stride: int) -> Tensor:
 
 
 def adaptive_maxpool1d(x: Tensor, out_len: int) -> Tensor:
-    """Adaptive max pooling: window i covers [floor(i*L/out), ceil((i+1)*L/out))."""
-    B, C, L = x.data.shape
-    out = np.empty((B, C, out_len), dtype=x.data.dtype)
-    arg = np.empty((B, C, out_len), dtype=np.int64)
+    """Adaptive max pooling of the last axis of [..., L]: window i covers
+    [floor(i*L/out), ceil((i+1)*L/out)); gradient routed to the first argmax."""
+    L = x.data.shape[-1]
+    out = np.empty(x.data.shape[:-1] + (out_len,), dtype=x.data.dtype)
+    arg = np.empty(out.shape, dtype=np.int64)
     for i in range(out_len):
         lo = (i * L) // out_len
         hi = -(-((i + 1) * L) // out_len)
-        seg = x.data[:, :, lo:hi]
+        seg = x.data[..., lo:hi]
         a = seg.argmax(axis=-1)
-        arg[:, :, i] = a + lo
-        out[:, :, i] = np.take_along_axis(seg, a[..., None], axis=-1)[..., 0]
+        arg[..., i] = a + lo
+        out[..., i] = np.take_along_axis(seg, a[..., None], axis=-1)[..., 0]
 
     def backward(g):
-        gx = np.zeros_like(x.data)
-        b_i, c_i = np.meshgrid(np.arange(B), np.arange(C), indexing="ij")
-        np.add.at(gx, (b_i[..., None], c_i[..., None], arg), g)
+        # windows overlap unless out_len divides L: accumulate, do not assign
+        gx = np.zeros(x.data.shape, dtype=x.data.dtype)
+        rows = np.arange(arg.size // out_len)[:, None]
+        np.add.at(gx.reshape(-1, L), (rows, arg.reshape(-1, out_len)), g.reshape(-1, out_len))
         x._accumulate(gx)
 
     return _make(out, (x,), backward, "adaptive_maxpool1d")

@@ -152,6 +152,12 @@ def load_csv(path, feature_columns: Optional[list] = None,
                 raise DataError(
                     f"{path}: unparseable cell {cell!r} at row {r + 2}, column {names[c]!r}"
                 ) from None
+    # float() also reads "inf" and 1e999, which would collapse min-max scaling
+    infinite = np.argwhere(np.isinf(values))
+    if infinite.size:
+        r, c = infinite[0]
+        raise DataError(f"{path}: non-finite cell {rows[r][col_idx[c]].strip()!r} "
+                        f"at row {r + 2}, column {names[c]!r}")
 
     labels = None
     if label_column is not None:
@@ -161,7 +167,7 @@ def load_csv(path, feature_columns: Optional[list] = None,
             cell = row[j].strip() if j < len(row) else ""
             try:
                 labels[r] = int(float(cell))
-            except ValueError:
+            except (ValueError, OverflowError):
                 raise DataError(
                     f"{path}: unparseable label {cell!r} at row {r + 2}"
                 ) from None

@@ -454,31 +454,17 @@ class TsrmModel:
 
         reduced_maps: list (length N) of [B, F, D] tensors, still on the
         gradient graph so attention parameters keep receiving gradients.
+        The F per-feature trunks run as one pass over a leading feature
+        axis of the stored ``ac.*`` weights, so the graph does not grow with F.
         """
-        cfg = self.config
-        B = reduced_maps[0].shape[0]
-        N, F = cfg.n_layers, cfg.F
-        D = reduced_maps[0].shape[-1]
-        stacked = concat([m.reshape(B, F, 1, D) for m in reduced_maps], axis=2)
-
-        scores = []
-        for f in range(F):
-            x = stacked.narrow(1, f, 1).reshape(B, N, D)
-            w1 = self.t("ac.conv1.w").narrow(0, f, 1).reshape(AC_CONV1_OUT, N, AC_CONV1_K)
-            b1 = self.t("ac.conv1.b").narrow(0, f, 1).reshape(AC_CONV1_OUT)
-            h = conv1d(x, w1, b1, stride=2)
-            w2 = self.t("ac.conv2.w").narrow(0, f, 1).reshape(AC_CONV2_OUT, AC_CONV1_OUT, AC_CONV2_K)
-            b2 = self.t("ac.conv2.b").narrow(0, f, 1).reshape(AC_CONV2_OUT)
-            h = elu(conv1d(h, w2, b2, stride=2))
-            h = adaptive_maxpool1d(h, AC_POOL_LEN).reshape(B, AC_CONV2_OUT * AC_POOL_LEN)
-            l1w = self.t("ac.lin1.w").narrow(0, f, 1).reshape(AC_CONV2_OUT * AC_POOL_LEN, AC_TRUNK_HIDDEN)
-            l1b = self.t("ac.lin1.b").narrow(0, f, 1).reshape(AC_TRUNK_HIDDEN)
-            h = matmul(h, l1w) + l1b
-            l2w = self.t("ac.lin2.w").narrow(0, f, 1).reshape(AC_TRUNK_HIDDEN, 1)
-            l2b = self.t("ac.lin2.b").narrow(0, f, 1).reshape(1)
-            scores.append(sigmoid(matmul(h, l2w) + l2b))          # [B, 1]
-
-        s = concat(scores, axis=1)                                # [B, F]
+        B, F, D = reduced_maps[0].shape
+        x = concat([m.reshape(B, F, 1, D) for m in reduced_maps], axis=2).transpose(1, 0, 2, 3)
+        h = conv1d(x, self.t("ac.conv1.w"), self.t("ac.conv1.b"), stride=2)
+        h = elu(conv1d(h, self.t("ac.conv2.w"), self.t("ac.conv2.b"), stride=2))
+        h = adaptive_maxpool1d(h, AC_POOL_LEN).reshape(F, B, AC_CONV2_OUT * AC_POOL_LEN)
+        h = matmul(h, self.t("ac.lin1.w")) + self.t("ac.lin1.b").reshape(F, 1, AC_TRUNK_HIDDEN)
+        h = matmul(h, self.t("ac.lin2.w")) + self.t("ac.lin2.b").reshape(F, 1, 1)
+        s = sigmoid(h).reshape(F, B).transpose(1, 0)              # [B, F]
         h = gelu(matmul(s, self.t("ac.head.w1")) + self.t("ac.head.b1"))
         h = gelu(matmul(h, self.t("ac.head.w2")) + self.t("ac.head.b2"))
         logits = matmul(h, self.t("ac.head.w3")) + self.t("ac.head.b3")

@@ -48,6 +48,18 @@ def rand_tensor(rng, *shape, scale=1.0, requires_grad=True) -> Tensor:
     return Tensor(rng.standard_normal(shape) * scale, requires_grad=requires_grad, dtype=np.float64)
 
 
+def graph_op_nodes(*roots) -> int:
+    """Number of op nodes reachable from the roots; leaves are not counted."""
+    seen, stack = set(), list(roots)
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or not node._parents:
+            continue
+        seen.add(id(node))
+        stack.extend(node._parents)
+    return len(seen)
+
+
 def spy_forward(model) -> list:
     """Wrap model.forward on this instance; each call appends
     (training, whether the output recorded a backward graph)."""

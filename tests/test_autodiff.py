@@ -186,12 +186,13 @@ class TestMaxPool:
 
     def test_adaptive_pool_shapes_and_gradient(self):
         rng = np.random.default_rng(7)
-        for L in (5, 8, 19):
-            x = rand_tensor(rng, 1, 2, L)
-            out = adaptive_maxpool1d(x, 8)
-            assert out.shape == (1, 2, 8)
-            w = rng.standard_normal((1, 2, 8))
-            check_gradients(lambda: (adaptive_maxpool1d(x, 8) * Tensor(w)).sum(), [x])
+        for lead in ((), (3,)):
+            for L in (5, 8, 19):
+                x = rand_tensor(rng, *lead, 1, 2, L)
+                out = adaptive_maxpool1d(x, 8)
+                assert out.shape == lead + (1, 2, 8)
+                w = rng.standard_normal(lead + (1, 2, 8))
+                check_gradients(lambda: (adaptive_maxpool1d(x, 8) * Tensor(w)).sum(), [x])
 
 
 class TestGroupNorm:
@@ -308,11 +309,35 @@ class TestFullConv1d:
 
     def test_gradients(self):
         rng = np.random.default_rng(17)
-        x = rand_tensor(rng, 2, 3, 10)
-        w = rand_tensor(rng, 4, 3, 3)
-        b = rand_tensor(rng, 4)
-        proj = rng.standard_normal((2, 4, 4))
-        check_gradients(lambda: (conv1d(x, w, b, stride=2) * Tensor(proj)).sum(), [x, w, b])
+        for lead in ((), (2,)):
+            x = rand_tensor(rng, *lead, 2, 3, 10)
+            w = rand_tensor(rng, *lead, 4, 3, 3)
+            b = rand_tensor(rng, *lead, 4)
+            proj = rng.standard_normal(lead + (2, 4, 4))
+            check_gradients(lambda: (conv1d(x, w, b, stride=2) * Tensor(proj)).sum(), [x, w, b])
+
+    def test_each_group_is_its_own_convolution(self):
+        rng = np.random.default_rng(18)
+        x = rand_tensor(rng, 3, 2, 4, 15).data.astype(np.float32)
+        w = rand_tensor(rng, 3, 5, 4, 3).data.astype(np.float32)
+        b = rand_tensor(rng, 3, 5).data.astype(np.float32)
+        g = rng.standard_normal((3, 2, 5, 7)).astype(np.float32)
+
+        def run(xs, ws, bs, gs):
+            leaves = [Tensor(a, requires_grad=True) for a in (xs, ws, bs)]
+            out = conv1d(*leaves, stride=2)
+            out.backward(gs)
+            return [out.data] + [t.grad for t in leaves]
+
+        grouped = run(x, w, b, g)
+        for f in range(3):
+            alone = run(x[f], w[f], b[f], g[f])
+            for got, want in zip(grouped, alone):
+                np.testing.assert_array_equal(got[f], want)
+
+    def test_group_axes_must_agree(self):
+        with pytest.raises(ConfigError, match="group axes and input channels"):
+            conv1d(Tensor(np.zeros((2, 1, 3, 8))), Tensor(np.zeros((3, 4, 3, 2))), None)
 
 
 class TestGraphAccumulation:

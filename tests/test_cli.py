@@ -79,6 +79,15 @@ class TestUsageErrors:
                     "--train-csv", str(bad), "--out", str(tmp / "out")])
         assert code == 2
 
+    def test_infinite_csv_cell(self, workspace, tmp_path, caplog):
+        tmp, _, cfg_path = workspace
+        bad = tmp_path / "bad.csv"
+        bad.write_text("v\n0.1\n0.5\n1e999\n0.9\n")
+        code = run(["pretrain", "--config", str(cfg_path),
+                    "--train-csv", str(bad), "--out", str(tmp / "out")])
+        assert code == 2
+        assert "non-finite cell '1e999' at row 4" in caplog.text
+
 
 class TestPretrainCommand:
     def test_writes_checkpoint_runlog_and_config(self, workspace, capsys):

@@ -41,6 +41,17 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=r"row 3.*'b'"):
             load_csv(p)
 
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "1e999", "Infinity"])
+    def test_infinite_cell_reports_row_and_column(self, tmp_path, cell):
+        p = self.write(tmp_path, f"a,b\n1,2\n3,4\n5,{cell}\n")
+        with pytest.raises(DataError, match=rf"non-finite cell '{cell}' at row 4, column 'b'"):
+            load_csv(p)
+
+    def test_infinite_label_reports_row(self, tmp_path):
+        p = self.write(tmp_path, "v,y\n0.1,0\n0.2,inf\n")
+        with pytest.raises(DataError, match="unparseable label 'inf' at row 3"):
+            load_csv(p, label_column="y")
+
     def test_missing_declared_column(self, tmp_path):
         p = self.write(tmp_path, "a,b\n1,2\n")
         with pytest.raises(DataError, match="lacks declared columns"):

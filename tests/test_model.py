@@ -6,7 +6,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tsrm.autodiff import Tensor, dropout, gelu, group_norm, matmul, no_grad
+from tsrm.autodiff import (
+    Tensor,
+    adaptive_maxpool1d,
+    concat,
+    conv1d,
+    dropout,
+    elu,
+    gelu,
+    group_norm,
+    matmul,
+    no_grad,
+    sigmoid,
+)
 from tsrm.attention import feature_separated_mha
 from tsrm.errors import (
     ConfigError,
@@ -26,9 +38,13 @@ from tsrm.model import (
     save_checkpoint,
     AC_CONV1_K,
     AC_CONV1_OUT,
+    AC_CONV2_K,
+    AC_CONV2_OUT,
+    AC_POOL_LEN,
+    AC_TRUNK_HIDDEN,
 )
 
-from helpers import check_gradients
+from helpers import check_gradients, graph_op_nodes
 
 
 def small_config(**kw):
@@ -287,6 +303,76 @@ class TestAttentionClassifier:
         assert model.params["ac.head.w3"].data.shape == (32, 6)
         trace = model.forward(np.zeros((1, 24, 1), dtype=np.float32))
         assert trace.class_logits.shape == (1, 6)
+
+
+def per_feature_classifier(model, reduced_maps):
+    """The attention classifier as one trunk per feature, each slicing its
+    weights out of the stacked ``ac.*`` arrays: the reference for the
+    batched pass."""
+    B, F, D = reduced_maps[0].shape
+    N = len(reduced_maps)
+    stacked = concat([m.reshape(B, F, 1, D) for m in reduced_maps], axis=2)
+    scores = []
+    for f in range(F):
+        def w(name, *shape):
+            return model.t(name).narrow(0, f, 1).reshape(*shape)
+
+        x = stacked.narrow(1, f, 1).reshape(B, N, D)
+        h = conv1d(x, w("ac.conv1.w", AC_CONV1_OUT, N, AC_CONV1_K),
+                   w("ac.conv1.b", AC_CONV1_OUT), stride=2)
+        h = elu(conv1d(h, w("ac.conv2.w", AC_CONV2_OUT, AC_CONV1_OUT, AC_CONV2_K),
+                       w("ac.conv2.b", AC_CONV2_OUT), stride=2))
+        h = adaptive_maxpool1d(h, AC_POOL_LEN).reshape(B, AC_CONV2_OUT * AC_POOL_LEN)
+        h = matmul(h, w("ac.lin1.w", AC_CONV2_OUT * AC_POOL_LEN, AC_TRUNK_HIDDEN)) \
+            + w("ac.lin1.b", AC_TRUNK_HIDDEN)
+        scores.append(sigmoid(matmul(h, w("ac.lin2.w", AC_TRUNK_HIDDEN, 1))
+                              + w("ac.lin2.b", 1)))
+    s = concat(scores, axis=1)
+    h = gelu(matmul(s, model.t("ac.head.w1")) + model.t("ac.head.b1"))
+    h = gelu(matmul(h, model.t("ac.head.w2")) + model.t("ac.head.b2"))
+    return matmul(h, model.t("ac.head.w3")) + model.t("ac.head.b3"), s
+
+
+class TestBatchedClassifier:
+    def test_matches_per_feature_trunks(self):
+        cfg = ModelConfig(T=24, F=3, f_embed=4, n_layers=2, heads=2,
+                          branches=[{"kernel": 3, "dilation": 1}])
+        model = TsrmModel(cfg, seed=41, dtype=np.float64)
+        rng = np.random.default_rng(42)
+        names = [n for n in model.params if n.startswith("ac.")]
+        for name in names:
+            # trunk weights start shared across features; make each feature's its own
+            p = model.params[name].tensor
+            p.data = p.data + 0.3 * rng.standard_normal(p.data.shape)
+        maps = rng.random((cfg.n_layers, 4, cfg.F, cfg.D))
+        w_logits = rng.standard_normal((4, 1))
+        w_scores = rng.standard_normal((4, cfg.F))
+
+        def run(classifier):
+            leaves = [Tensor(m.copy(), requires_grad=True) for m in maps]
+            for name in names:
+                model.t(name).zero_grad()
+            logits, scores = classifier(leaves)
+            ((logits * Tensor(w_logits)).sum() + (scores * Tensor(w_scores)).sum()).backward()
+            grads = [model.t(n).grad.copy() for n in names] + [m.grad for m in leaves]
+            return [logits.data, scores.data] + grads
+
+        batched = run(model.attention_classifier)
+        reference = run(lambda m: per_feature_classifier(model, m))
+        assert not np.allclose(batched[1][:, 0], batched[1][:, 1])
+        for got, want in zip(batched, reference):
+            np.testing.assert_array_equal(got, want)
+
+    def test_graph_size_does_not_grow_with_features(self):
+        counts = []
+        for F in (1, 7):
+            cfg = ModelConfig(T=24, F=F, f_embed=4, n_layers=2, heads=2,
+                              branches=[{"kernel": 3, "dilation": 1}])
+            model = TsrmModel(cfg, seed=43)
+            maps = [Tensor(np.full((2, F, cfg.D), 0.5, dtype=np.float32), requires_grad=True)
+                    for _ in range(cfg.n_layers)]
+            counts.append(graph_op_nodes(*model.attention_classifier(maps)))
+        assert counts[0] == counts[1]
 
 
 class TestForward:
