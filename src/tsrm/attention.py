@@ -10,11 +10,13 @@ max-minus-mean score, and hands every other query the mean of the values
 graph: its scores, weights and their gradients are [..., u, D], not
 [..., D, D].
 
-Recorded attention maps are row-stochastic for every kind; the reduced
-per-feature map vector sums over the query axis, measuring how much
-attention each representation position receives. Prob-sparse computes it
-from the selected rows alone, each uniform row adding 1/D to every
-position, and builds its dense map only when one is asked for.
+All three kinds share one body, ``_attend``, and one contract: they return
+the values and the row-stochastic weights of the rows they computed,
+[..., h, r, D], with r = D except for prob-sparse with u < D. The wrapper
+reduces every kind with ``_reduce_rows`` to the per-feature vector of the
+attention each representation position receives (``reduce_map`` of the
+head-averaged map, each uniform row adding 1/D to every position); no
+D x D map is built for a kind that does not compute one.
 """
 
 from __future__ import annotations
@@ -115,32 +117,6 @@ def entmax15(z: Tensor, axis: int = -1) -> Tensor:
     return _make(p, (z,), backward, "entmax15")
 
 
-def _head_average_map(weights: Tensor) -> Tensor:
-    """Average the head axis (-3) of [..., h, D, D] attention weights."""
-    return weights.mean(axis=-3)
-
-
-def vanilla_attention(q: Tensor, k: Tensor, v: Tensor):
-    """Dense softmax attention on [..., h, D, d_h] tensors.
-
-    Returns (values [..., h, D, d_h], head-averaged map [..., D, D]).
-    """
-    d_h = q.shape[-1]
-    scores = matmul(q, k.transpose(*range(k.ndim - 2), k.ndim - 1, k.ndim - 2))
-    scores = scores * (1.0 / math.sqrt(d_h))
-    weights = softmax(scores, axis=-1)
-    return matmul(weights, v), _head_average_map(weights)
-
-
-def entmax_attention(q: Tensor, k: Tensor, v: Tensor):
-    """As vanilla attention but with entmax-1.5 in place of softmax."""
-    d_h = q.shape[-1]
-    scores = matmul(q, k.transpose(*range(k.ndim - 2), k.ndim - 1, k.ndim - 2))
-    scores = scores * (1.0 / math.sqrt(d_h))
-    weights = entmax15(scores, axis=-1)
-    return matmul(weights, v), _head_average_map(weights)
-
-
 def probsparse_top_u(D: int, c: float) -> int:
     """Number of sampled keys / retained queries: min(D, ceil(c ln D))."""
     if D < 1:
@@ -201,59 +177,61 @@ def _fill_rows(rows: Tensor, v: Tensor, index: np.ndarray) -> Tensor:
     return _make(data, (rows, v), backward, "fill_rows")
 
 
-def _dense_map(weights: Tensor, index) -> Tensor:
-    """Head-averaged [..., D, D] map with the selected rows ``weights``
-    [..., h, u, D] at queries ``index`` [..., h, u] and 1/D in every other
-    row; ``index`` None means weights already holds every row in order."""
-    if index is None:
-        return _head_average_map(weights)
-    h, _, D = weights.shape[-3:]
-    idx = index[..., None]
-    rows = np.full(weights.shape[:-2] + (D, D), 1.0 / D, dtype=weights.dtype)
-    np.put_along_axis(rows, idx, weights.data, axis=-2)
+def _attend(q: Tensor, k: Tensor, v: Tensor, normalize, index=None):
+    """Attention of the query rows ``index`` [..., r] (every row when None)
+    over all D keys, on [..., h, D, d_h] tensors.
 
-    def backward(g):
-        weights._accumulate(np.take_along_axis(np.expand_dims(g / h, -3), idx, axis=-2))
-
-    return _make(rows.mean(axis=-3), (weights,), backward, "dense_map")
-
-
-def _reduce_rows(weights: Tensor) -> Tensor:
-    """``reduce_map`` of the dense map of selected rows [..., h, u, D],
-    without building it: the head mean of their column sums, plus 1/D from
-    each of the D - u uniform rows."""
-    h, u, D = weights.shape[-3:]
-    return weights.sum(axis=(-3, -2)) * (1.0 / h) + (D - u) / D
-
-
-def probsparse_attention(q: Tensor, k: Tensor, v: Tensor, c: float,
-                         rng: np.random.Generator, dense_map: bool = True):
-    """Prob-sparse attention (Informer): softmax rows only for the top-u queries.
-
-    u = ceil(c ln D) queries per slice are selected by ``_top_queries``.
-    Their rows of q are gathered and only their [..., h, u, D] scores,
-    softmax and values are computed; every other query's output is the
-    mean of the values, the output of a uniform row. Sampling is driven by
-    the supplied seeded generator. When u >= D every query is kept and
-    this is vanilla attention, with no sampling.
-
-    Returns (values [..., h, D, d_h], head-averaged map [..., D, D]). With
-    ``dense_map=False`` the map comes as the pair (selected-row weights
-    [..., h, u, D], their query indices [..., h, u] or None when u >= D),
-    and no D x D array is built.
+    Forms the selected rows' scaled scores, normalizes each row with
+    ``normalize`` (softmax or entmax15) and takes their values; every
+    unselected query gets the mean of the values, the output of a uniform
+    row. Returns (values [..., h, D, d_h], row weights [..., h, r, D]).
     """
-    D, d_h = q.shape[-2:]
-    u = probsparse_top_u(D, c)
-    index = _top_queries(q.data, k.data, u, rng) if u < D else None
     rows = q if index is None else _take_rows(q, index)
     scores = matmul(rows, k.transpose(*range(k.ndim - 2), k.ndim - 1, k.ndim - 2))
-    weights = softmax(scores * (1.0 / math.sqrt(d_h)), axis=-1)
+    scores = scores * (1.0 / math.sqrt(q.shape[-1]))
+    weights = normalize(scores, axis=-1)
     values = matmul(weights, v)
     if index is not None:
         values = _fill_rows(values, v, index)
-    if not dense_map:
-        return values, (weights, index)
-    return values, _dense_map(weights, index)
+    return values, weights
+
+
+def vanilla_attention(q: Tensor, k: Tensor, v: Tensor):
+    """Dense softmax attention; see ``_attend`` for the contract."""
+    return _attend(q, k, v, softmax)
+
+
+def entmax_attention(q: Tensor, k: Tensor, v: Tensor):
+    """As vanilla attention but with entmax-1.5 in place of softmax."""
+    return _attend(q, k, v, entmax15)
+
+
+def probsparse_attention(q: Tensor, k: Tensor, v: Tensor, c: float, rng: np.random.Generator):
+    """Prob-sparse attention (Informer): softmax rows only for the top-u queries.
+
+    u = ceil(c ln D) queries per slice are selected by ``_top_queries``,
+    driven by the supplied seeded generator; only their [..., h, u, D]
+    scores, softmax and values are computed (see ``_attend``). When u >= D
+    every query is kept and this is vanilla attention, with no sampling.
+    """
+    D = q.shape[-2]
+    u = probsparse_top_u(D, c)
+    return _attend(q, k, v, softmax, _top_queries(q.data, k.data, u, rng) if u < D else None)
+
+
+def _reduce_rows(weights: Tensor) -> Tensor:
+    """Attention each position receives, [..., D], from row weights
+    [..., h, r, D]: ``reduce_map`` of the head-averaged map. With r < D
+    the D x D map is never built: the head mean of the selected rows'
+    column sums, plus 1/D from each of the D - r uniform rows.
+
+    Each form keeps the summation order its kind has always used; a change
+    in the last bit moves seeded training runs far past run-to-run noise.
+    """
+    h, r, D = weights.shape[-3:]
+    if r == D:
+        return reduce_map(weights.mean(axis=-3))
+    return weights.sum(axis=(-3, -2)) * (1.0 / h) + (D - r) / D
 
 
 def reduce_map(map_tensor: Tensor) -> Tensor:
@@ -266,15 +244,14 @@ def reduce_map(map_tensor: Tensor) -> Tensor:
 
 
 def feature_separated_mha(r: Tensor, params: dict, kind: AttentionKind, heads: int,
-                          rng: np.random.Generator, record_full: bool = False):
+                          rng: np.random.Generator):
     """Per-feature multi-head self-attention over [B, D, F*f_embed].
 
     Each of the F width-f_embed segments runs through its own Q/K/V/output
     projections (stacked as [F, f_embed, f_embed] weights) and h-head
     attention of the selected kind; segments are concatenated back in
     feature order. Returns (output [B, D, F*f_embed], reduced maps
-    [B, F, D] still on the gradient graph, recorded full maps
-    [B, F, D, D] as a detached array or None).
+    [B, F, D] still on the gradient graph).
     """
     B, D, E = r.shape
     F, f_embed, _ = params["wq"].shape
@@ -294,21 +271,15 @@ def feature_separated_mha(r: Tensor, params: dict, kind: AttentionKind, heads: i
     k = project(params["wk"], params["bk"])
     v = project(params["wv"], params["bv"])
 
+    # the kernels are looked up as module globals, so they can be wrapped
     if kind.kind == "probsparse":
-        values, (weights, index) = probsparse_attention(q, k, v, kind.probsparse_factor,
-                                                        rng, dense_map=False)
-        reduced = _reduce_rows(weights)
-        avg_map = _dense_map(weights, index) if record_full else None
+        values, weights = probsparse_attention(q, k, v, kind.probsparse_factor, rng)
     else:
         attend = vanilla_attention if kind.kind == "vanilla" else entmax_attention
-        values, avg_map = attend(q, k, v)
-        reduced = reduce_map(avg_map)
+        values, weights = attend(q, k, v)
+    reduced = _reduce_rows(weights)                                      # [F, B, D]
 
     merged = values.transpose(0, 1, 3, 2, 4).reshape(F, B, D, f_embed)
     out = matmul(merged, params["wo"].reshape(F, 1, f_embed, f_embed))
     out = out + params["bo"].reshape(F, 1, 1, f_embed)
-    out = out.transpose(1, 2, 0, 3).reshape(B, D, E)
-
-    reduced = reduced.transpose(1, 0, 2)                                # [B, F, D]
-    full = np.ascontiguousarray(avg_map.data.transpose(1, 0, 2, 3)) if record_full else None
-    return out, reduced, full
+    return out.transpose(1, 2, 0, 3).reshape(B, D, E), reduced.transpose(1, 0, 2)

@@ -201,8 +201,12 @@ def normalize(values: np.ndarray, stats: NormStats):
     """Map into [0, 1] with training stats; out-of-range values are clamped.
 
     Missing entries (NaN) pass through untouched. Returns (normalized,
-    clamp count).
+    clamp count). Raises DataError when the column count differs from the
+    stats' feature count.
     """
+    if values.shape[-1] != stats.mins.shape[-1]:
+        raise DataError(f"data has {values.shape[-1]} columns but the normalization "
+                        f"stats cover {stats.mins.shape[-1]} features")
     out = (values - stats.mins) / (stats.maxs - stats.mins)
     with np.errstate(invalid="ignore"):
         low = out < 0.0

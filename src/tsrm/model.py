@@ -320,7 +320,6 @@ class ForwardTrace:
     output: Tensor                      # [B, T, F]
     class_logits: Tensor                # [B, C]
     attention: np.ndarray               # [N, B, F, D] reduced map vectors, detached
-    attention_full: Optional[list] = None  # per layer [B, F, D, D], detached
     feature_scores: Optional[np.ndarray] = None  # [B, F] trunk sigmoids, detached
 
 
@@ -423,8 +422,7 @@ class TsrmModel:
         return fused.reshape(B, cfg.T, cfg.d_embed)
 
     def encoding_layer(self, e_in: Tensor, residual_in: Optional[Tensor], layer: int,
-                       training: bool, rng: np.random.Generator,
-                       record_full: bool = False):
+                       training: bool, rng: np.random.Generator):
         """One shape-preserving encoder unit; see module docstring for wiring."""
         cfg = self.config
         r = self.representation(e_in, layer)
@@ -435,9 +433,8 @@ class TsrmModel:
                         self.t(f"el{layer}.block1.norm.beta"))
         attn_params = {k: self.t(f"el{layer}.attn.{k}")
                        for k in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")}
-        mha_out, reduced, full = attn.feature_separated_mha(
-            gelu(g1), attn_params, cfg.attention_kind, cfg.heads, rng,
-            record_full=record_full)
+        mha_out, reduced = attn.feature_separated_mha(
+            gelu(g1), attn_params, cfg.attention_kind, cfg.heads, rng)
         x = r + dropout(mha_out, cfg.dropout_p, training, rng)
 
         g2 = group_norm(x, cfg.F, self.t(f"el{layer}.block2.norm.gamma"),
@@ -447,7 +444,7 @@ class TsrmModel:
         y = x + dropout(lin, cfg.dropout_p, training, rng)
 
         p = y + residual_in if residual_in is not None else y
-        return self.merge(p, layer), p, reduced, full
+        return self.merge(p, layer), p, reduced
 
     def attention_classifier(self, reduced_maps: list) -> tuple:
         """Class logits from the N x F reduced attention vectors only.
@@ -471,8 +468,7 @@ class TsrmModel:
         return logits, s
 
     def forward(self, x: np.ndarray, training: bool = False,
-                rng: Optional[np.random.Generator] = None,
-                record_full: bool = False) -> ForwardTrace:
+                rng: Optional[np.random.Generator] = None) -> ForwardTrace:
         """Run the network on [B, T, F] input (missing values already -1)."""
         cfg = self.config
         x = np.asarray(x, dtype=self.dtype)
@@ -489,12 +485,10 @@ class TsrmModel:
 
         e = self.embed(Tensor(x))
         residual = None
-        reduced_all, full_all = [], []
+        reduced_all = []
         for n in range(cfg.n_layers):
-            e, residual, reduced, full = self.encoding_layer(
-                e, residual, n, training, rng, record_full=record_full)
+            e, residual, reduced = self.encoding_layer(e, residual, n, training, rng)
             reduced_all.append(reduced)
-            full_all.append(full)
 
         output = self.de_embed(e)
         logits, feature_scores = self.attention_classifier(reduced_all)
@@ -502,7 +496,6 @@ class TsrmModel:
             output=output,
             class_logits=logits,
             attention=np.stack([m.data for m in reduced_all]),
-            attention_full=full_all if record_full else None,
             feature_scores=feature_scores.data.copy(),
         )
 
@@ -639,14 +632,13 @@ def rebuild_for_window(model: TsrmModel, new_T: int):
     window; kernels whose resolved size changed are freshly initialized.
     Returns (new_model, list of re-resolved parameter names).
     """
-    cfg = model.config
-    new_cfg = ModelConfig.from_dict({**cfg.to_dict(), "T": new_T})
-    fresh = TsrmModel(new_cfg, seed=0, dtype=model.dtype, task=model.task)
-    reinitialized = []
-    for name, p in fresh.params.items():
-        old = model.params[name]
-        if old.data.shape == p.data.shape:
-            fresh.params[name] = old
-        else:
-            reinitialized.append(name)
+    new_cfg = ModelConfig.from_dict({**model.config.to_dict(), "T": new_T})
+    table = parameter_table(new_cfg)
+    reinitialized = [name for name, shape, _ in table if model.params[name].data.shape != shape]
+    # a seeded draw only when some kernel changed, so its fresh values stay reproducible
+    fresh = TsrmModel(new_cfg, seed=0, dtype=model.dtype, task=model.task,
+                      _empty=not reinitialized)
+    for name, _, _ in table:
+        if name not in reinitialized:
+            fresh.params[name] = model.params[name]
     return fresh, reinitialized

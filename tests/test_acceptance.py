@@ -187,8 +187,8 @@ def test_criterion_02_shape_inversion_suite():
             continue  # D below the classifier minimum
         model = TsrmModel(cfg, seed=checked)
         e_in = Tensor(rng.random((1, T, cfg.d_embed)).astype(np.float32))
-        e_out, residual, _, _ = model.encoding_layer(e_in, None, 0, False,
-                                                     np.random.default_rng(0))
+        e_out, residual, _ = model.encoding_layer(e_in, None, 0, False,
+                                                  np.random.default_rng(0))
         assert e_out.shape == (1, T, cfg.d_embed), cfg
         assert residual.shape == (1, cfg.D, cfg.d_embed), cfg
         checked += 1

@@ -59,28 +59,35 @@ def dense_attention_oracle(q, k, v):
     return w @ v, w
 
 
+def oracle_top_queries(scores, u, rng):
+    """The u queries [..., u] of each slice with the highest max-minus-mean
+    of their scaled scores [..., D, D] against u keys sampled per query."""
+    D = scores.shape[-1]
+    sample_idx = np.argsort(rng.random((D, D)), axis=-1)[:, :u]
+    sampled = np.take_along_axis(
+        scores, sample_idx.reshape((1,) * (scores.ndim - 2) + (D, u)), axis=-1)
+    sparsity = sampled.max(axis=-1) - sampled.mean(axis=-1)
+    return np.argsort(-sparsity, axis=-1, kind="stable")[..., :u]
+
+
 def probsparse_masked_dense(q, k, v, c, rng):
     """Prob-sparse attention computed densely, on the autodiff graph.
 
     Scores and softmax for all D queries, then every row of a non-selected
     query replaced by the uniform row. Selection samples the keys and ranks
     the queries the same way as the sparse path, so both pick the same
-    rows; only the arithmetic after the selection differs.
+    rows; only the arithmetic after the selection differs. Returns (values,
+    per-head masked weights [..., h, D, D]).
     """
     D, d_h = q.shape[-2:]
-    u = probsparse_top_u(D, c)
     scores = matmul(q, k.transpose(*range(k.ndim - 2), k.ndim - 1, k.ndim - 2))
     scores = scores * (1.0 / math.sqrt(d_h))
-    sample_idx = np.argsort(rng.random((D, D)), axis=-1)[:, :u]
-    sampled = np.take_along_axis(
-        scores.data, sample_idx.reshape((1,) * (scores.ndim - 2) + (D, u)), axis=-1)
-    sparsity = sampled.max(axis=-1) - sampled.mean(axis=-1)
-    order = np.argsort(-sparsity, axis=-1, kind="stable")
-    selected = np.zeros(sparsity.shape, dtype=scores.data.dtype)
-    np.put_along_axis(selected, order[..., :u], 1.0, axis=-1)
+    order = oracle_top_queries(scores.data, probsparse_top_u(D, c), rng)
+    selected = np.zeros(scores.shape[:-1], dtype=scores.data.dtype)
+    np.put_along_axis(selected, order, 1.0, axis=-1)
     uniform = Tensor(np.asarray((1.0 - selected[..., None]) / D, dtype=scores.data.dtype))
     weights = softmax(scores, axis=-1) * Tensor(selected[..., None]) + uniform
-    return matmul(weights, v), weights.mean(axis=-3)
+    return matmul(weights, v), weights
 
 
 # ---------------------------------------------------------------------------
@@ -214,32 +221,34 @@ class TestVanillaAttention:
         q, _, v = _qkv(rng)
         k_row = rng.standard_normal((1, 2, 1, 4))
         k = Tensor(np.repeat(k_row, 5, axis=2))
-        out, amap = vanilla_attention(q, k, v)
-        np.testing.assert_allclose(amap.data, 1.0 / 5.0, atol=1e-7)
+        out, weights = vanilla_attention(q, k, v)
+        assert weights.shape == (1, 2, 5, 5)
+        np.testing.assert_allclose(weights.data, 1.0 / 5.0, atol=1e-7)
         mean_v = np.broadcast_to(v.data.mean(axis=2, keepdims=True), out.shape)
         np.testing.assert_allclose(out.data, mean_v, atol=1e-6)
 
     def test_single_position(self):
         rng = np.random.default_rng(27)
         q, k, v = _qkv(rng, D=1)
-        out, amap = vanilla_attention(q, k, v)
-        np.testing.assert_array_equal(amap.data, np.ones((1, 1, 1)))
+        out, weights = vanilla_attention(q, k, v)
+        np.testing.assert_array_equal(weights.data, np.ones((1, 2, 1, 1)))
         np.testing.assert_allclose(out.data, v.data)
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(28)
         q, k, v = _qkv(rng, B=2, h=3, D=3, d_h=4)
-        out, amap = vanilla_attention(q, k, v)
+        out, weights = vanilla_attention(q, k, v)
         want_out, want_w = dense_attention_oracle(q.data, k.data, v.data)
         np.testing.assert_allclose(out.data, want_out, atol=1e-6)
-        np.testing.assert_allclose(amap.data, want_w.mean(axis=1), atol=1e-6)
+        np.testing.assert_allclose(weights.data, want_w, atol=1e-6)
 
     def test_rows_are_probability_vectors(self):
         rng = np.random.default_rng(29)
         q, k, v = _qkv(rng, D=9)
-        _, amap = vanilla_attention(q, k, v)
-        assert (amap.data >= 0).all()
-        np.testing.assert_allclose(amap.data.sum(axis=-1), 1.0, atol=1e-5)
+        _, weights = vanilla_attention(q, k, v)
+        assert weights.shape == (1, 2, 9, 9)
+        assert (weights.data >= 0).all()
+        np.testing.assert_allclose(weights.data.sum(axis=-1), 1.0, atol=1e-5)
 
 
 class TestEntmaxAttention:
@@ -247,8 +256,9 @@ class TestEntmaxAttention:
         rng = np.random.default_rng(30)
         q, _, v = _qkv(rng)
         k = Tensor(np.repeat(rng.standard_normal((1, 2, 1, 4)), 5, axis=2))
-        _, amap = entmax_attention(q, k, v)
-        np.testing.assert_allclose(amap.data, 1.0 / 5.0, atol=1e-7)
+        _, weights = entmax_attention(q, k, v)
+        assert weights.shape == (1, 2, 5, 5)
+        np.testing.assert_allclose(weights.data, 1.0 / 5.0, atol=1e-7)
 
     def test_dominant_key_gives_one_hot_row(self):
         d_h = 4
@@ -258,26 +268,28 @@ class TestEntmaxAttention:
         k = np.zeros((1, 1, D, d_h))
         # key 0 dominates every row by 2*sqrt(d_h) * 4 in raw dot product
         k[0, 0, 0, :] = 2.0 * math.sqrt(d_h) * 4.0 / d_h
-        _, amap = entmax_attention(q, Tensor(k), Tensor(np.ones((1, 1, D, d_h))))
+        _, weights = entmax_attention(q, Tensor(k), Tensor(np.ones((1, 1, D, d_h))))
         expected = np.zeros(D)
         expected[0] = 1.0
-        for row in amap.data[0]:
+        assert weights.shape == (1, 1, D, D)
+        for row in weights.data[0, 0]:
             np.testing.assert_array_equal(row, expected)
 
     def test_agrees_with_entmax_of_materialized_scores(self):
         rng = np.random.default_rng(31)
         q, k, v = _qkv(rng, D=6)
-        _, amap = entmax_attention(q, k, v)
+        _, weights = entmax_attention(q, k, v)
         scores = q.data @ np.swapaxes(k.data, -1, -2) / math.sqrt(q.shape[-1])
-        want = entmax15(Tensor(scores), axis=-1).data.mean(axis=1)
-        np.testing.assert_array_equal(amap.data, want)
+        want = entmax15(Tensor(scores), axis=-1).data
+        np.testing.assert_array_equal(weights.data, want)
 
     def test_rows_are_probability_vectors(self):
         rng = np.random.default_rng(32)
         q, k, v = _qkv(rng, D=8)
-        _, amap = entmax_attention(q, k, v)
-        assert (amap.data >= 0).all()
-        np.testing.assert_allclose(amap.data.sum(axis=-1), 1.0, atol=1e-5)
+        _, weights = entmax_attention(q, k, v)
+        assert weights.shape == (1, 2, 8, 8)
+        assert (weights.data >= 0).all()
+        np.testing.assert_allclose(weights.data.sum(axis=-1), 1.0, atol=1e-5)
 
 
 class TestProbsparseAttention:
@@ -290,16 +302,16 @@ class TestProbsparseAttention:
         rng = np.random.default_rng(33)
         for D in (4, 16, 32):
             q, k, v = _qkv(rng, B=2, h=2, D=D)
-            out_ps, map_ps = probsparse_attention(q, k, v, c=50.0,
-                                                  rng=np.random.default_rng(0))
-            out_va, map_va = vanilla_attention(q, k, v)
-            np.testing.assert_allclose(out_ps.data, out_va.data, atol=1e-6)
-            np.testing.assert_allclose(map_ps.data, map_va.data, atol=1e-6)
+            out_ps, w_ps = probsparse_attention(q, k, v, c=50.0,
+                                                rng=np.random.default_rng(0))
+            out_va, w_va = vanilla_attention(q, k, v)
+            np.testing.assert_array_equal(out_ps.data, out_va.data)
+            np.testing.assert_array_equal(w_ps.data, w_va.data)
 
     def test_small_d_matches_dense_oracle(self):
         rng = np.random.default_rng(34)
         q, k, v = _qkv(rng, D=4)
-        out, amap = probsparse_attention(q, k, v, c=5.0, rng=np.random.default_rng(1))
+        out, _ = probsparse_attention(q, k, v, c=5.0, rng=np.random.default_rng(1))
         want_out, _ = dense_attention_oracle(q.data, k.data, v.data)
         np.testing.assert_allclose(out.data, want_out, atol=1e-6)
 
@@ -309,22 +321,29 @@ class TestProbsparseAttention:
         q, k, v = _qkv(rng, B=1, h=1, D=D)
         u = probsparse_top_u(D, 1.0)
         assert u < D
-        out, amap = probsparse_attention(q, k, v, c=1.0, rng=np.random.default_rng(2))
-        rows = amap.data[0]
-        uniform_rows = np.isclose(rows, 1.0 / D, atol=1e-9).all(axis=-1)
-        assert uniform_rows.sum() == D - u
-        # uniform rows hand the mean of V through
-        for i in np.nonzero(uniform_rows)[0]:
-            np.testing.assert_allclose(out.data[0, 0, i], v.data[0, 0].mean(axis=0),
-                                       atol=1e-6)
-        np.testing.assert_allclose(rows.sum(axis=-1), 1.0, atol=1e-5)
+        out, weights = probsparse_attention(q, k, v, c=1.0, rng=np.random.default_rng(2))
+        assert weights.shape[-2] == u
+        np.testing.assert_allclose(weights.data.sum(axis=-1), 1.0, atol=1e-5)
+        scores = q.data @ np.swapaxes(k.data, -1, -2) / math.sqrt(q.shape[-1])
+        selected = oracle_top_queries(scores, u, np.random.default_rng(2))[0, 0]
+        want_out, want_w = dense_attention_oracle(q.data, k.data, v.data)
+        np.testing.assert_allclose(weights.data[0, 0], want_w[0, 0, selected], atol=1e-6)
+        np.testing.assert_allclose(out.data[0, 0, selected], want_out[0, 0, selected],
+                                   atol=1e-6)
+        # every other row is a uniform row: it hands the mean of V through
+        others = np.setdiff1d(np.arange(D), selected)
+        assert len(others) == D - u
+        np.testing.assert_allclose(out.data[0, 0, others],
+                                   np.broadcast_to(v.data[0, 0].mean(axis=0), (D - u, 4)),
+                                   atol=1e-6)
 
     def test_sampling_is_seeded(self):
         rng = np.random.default_rng(36)
         q, k, v = _qkv(rng, D=24)
-        a = probsparse_attention(q, k, v, 2.0, np.random.default_rng(7))[1].data
-        b = probsparse_attention(q, k, v, 2.0, np.random.default_rng(7))[1].data
-        np.testing.assert_array_equal(a, b)
+        a = probsparse_attention(q, k, v, 2.0, np.random.default_rng(7))
+        b = probsparse_attention(q, k, v, 2.0, np.random.default_rng(7))
+        for x, y in zip(a, b):
+            np.testing.assert_array_equal(x.data, y.data)
 
 
 # ---------------------------------------------------------------------------
@@ -368,14 +387,33 @@ def make_attention_params(rng, F, f_embed, dtype=np.float64):
     return params
 
 
+KERNELS = {"vanilla": "vanilla_attention", "entmax15": "entmax_attention",
+           "probsparse": "probsparse_attention"}
+
+
+def spy_on_kernel(monkeypatch, kind):
+    """Replace the kind's kernel in ``tsrm.attention`` with a pass-through
+    that records each call's result in ``spy.results``."""
+    name = KERNELS[kind]
+    kernel = getattr(attention, name)
+
+    def spy(*args, **kwargs):
+        spy.results.append(kernel(*args, **kwargs))
+        return spy.results[-1]
+
+    spy.results = []
+    monkeypatch.setattr(attention, name, spy)
+    return spy
+
+
 class TestFeatureSeparatedMha:
     def test_single_feature_equals_plain_mha(self):
         rng = np.random.default_rng(40)
         F, f_embed, h, B, D = 1, 8, 2, 2, 5
         params = make_attention_params(rng, F, f_embed)
         r = Tensor(rng.standard_normal((B, D, f_embed)))
-        out, reduced, _ = feature_separated_mha(r, params, AttentionKind("vanilla"), h,
-                                                np.random.default_rng(0))
+        out, reduced = feature_separated_mha(r, params, AttentionKind("vanilla"), h,
+                                             np.random.default_rng(0))
         # plain reference: same projections without the feature plumbing
         q = (r.data @ params["wq"].data[0]).reshape(B, D, h, -1).transpose(0, 2, 1, 3)
         k = (r.data @ params["wk"].data[0]).reshape(B, D, h, -1).transpose(0, 2, 1, 3)
@@ -393,14 +431,14 @@ class TestFeatureSeparatedMha:
         r = rng.standard_normal((B, D, F * f_embed))
         perm = np.array([2, 0, 1])
 
-        out1, red1, _ = feature_separated_mha(Tensor(r), params,
-                                              AttentionKind("vanilla"), h,
-                                              np.random.default_rng(0))
+        out1, red1 = feature_separated_mha(Tensor(r), params,
+                                           AttentionKind("vanilla"), h,
+                                           np.random.default_rng(0))
         perm_params = {name: Tensor(t.data[perm]) for name, t in params.items()}
         r_perm = r.reshape(B, D, F, f_embed)[:, :, perm].reshape(B, D, F * f_embed)
-        out2, red2, _ = feature_separated_mha(Tensor(r_perm), perm_params,
-                                              AttentionKind("vanilla"), h,
-                                              np.random.default_rng(0))
+        out2, red2 = feature_separated_mha(Tensor(r_perm), perm_params,
+                                           AttentionKind("vanilla"), h,
+                                           np.random.default_rng(0))
         want = out1.data.reshape(B, D, F, f_embed)[:, :, perm].reshape(B, D, -1)
         np.testing.assert_allclose(out2.data, want, atol=1e-10)
         np.testing.assert_allclose(red2.data, red1.data[:, perm], atol=1e-10)
@@ -411,14 +449,14 @@ class TestFeatureSeparatedMha:
         params = make_attention_params(rng, F, f_embed)
         base = rng.standard_normal((B, D, F * f_embed))
 
-        out_full, red_full, _ = feature_separated_mha(Tensor(base), params,
-                                                      AttentionKind("vanilla"), h,
-                                                      np.random.default_rng(0))
+        out_full, red_full = feature_separated_mha(Tensor(base), params,
+                                                   AttentionKind("vanilla"), h,
+                                                   np.random.default_rng(0))
         mutated = base.copy()
         mutated[:, :, f_embed:] = rng.standard_normal((B, D, f_embed))
-        out_mut, red_mut, _ = feature_separated_mha(Tensor(mutated), params,
-                                                    AttentionKind("vanilla"), h,
-                                                    np.random.default_rng(0))
+        out_mut, red_mut = feature_separated_mha(Tensor(mutated), params,
+                                                 AttentionKind("vanilla"), h,
+                                                 np.random.default_rng(0))
         np.testing.assert_array_equal(out_full.data[:, :, :f_embed],
                                       out_mut.data[:, :, :f_embed])
         np.testing.assert_array_equal(red_full.data[:, 0], red_mut.data[:, 0])
@@ -432,27 +470,29 @@ class TestFeatureSeparatedMha:
         r1 = rng.standard_normal((B, D, f_embed))
         r2 = np.concatenate([r1, np.zeros((B, D, f_embed))], axis=-1)
 
-        out1, red1, _ = feature_separated_mha(Tensor(r1), single,
-                                              AttentionKind("vanilla"), h,
-                                              np.random.default_rng(0))
-        out2, red2, _ = feature_separated_mha(Tensor(r2), double,
-                                              AttentionKind("vanilla"), h,
-                                              np.random.default_rng(0))
+        out1, red1 = feature_separated_mha(Tensor(r1), single,
+                                           AttentionKind("vanilla"), h,
+                                           np.random.default_rng(0))
+        out2, red2 = feature_separated_mha(Tensor(r2), double,
+                                           AttentionKind("vanilla"), h,
+                                           np.random.default_rng(0))
         np.testing.assert_array_equal(out2.data[:, :, :f_embed], out1.data)
         np.testing.assert_array_equal(red2.data[:, 0], red1.data[:, 0])
 
     @pytest.mark.parametrize("kind", ["vanilla", "entmax15", "probsparse"])
-    def test_reduced_map_total_and_rows(self, kind):
+    def test_reduced_map_total_and_rows(self, kind, monkeypatch):
         rng = np.random.default_rng(43)
         F, f_embed, h, B, D = 2, 4, 2, 3, 7
         params = make_attention_params(rng, F, f_embed)
         r = Tensor(rng.standard_normal((B, D, F * f_embed)))
-        _, reduced, full = feature_separated_mha(r, params, AttentionKind(kind), h,
-                                                 np.random.default_rng(0),
-                                                 record_full=True)
-        assert full.shape == (B, F, D, D)
-        assert (full >= 0).all()
-        np.testing.assert_allclose(full.sum(axis=-1), 1.0, atol=1e-5)
+        kernel = spy_on_kernel(monkeypatch, kind)
+        _, reduced = feature_separated_mha(r, params, AttentionKind(kind), h,
+                                           np.random.default_rng(0))
+        (_, weights), = kernel.results
+        assert weights.shape == (F, B, h, D, D)
+        assert (weights.data >= 0).all()
+        np.testing.assert_allclose(weights.data.sum(axis=-1), 1.0, atol=1e-5)
+        assert reduced.shape == (B, F, D)
         np.testing.assert_allclose(reduced.data.sum(axis=-1), float(D), atol=1e-4)
 
     def test_divisibility_errors(self):
@@ -475,8 +515,8 @@ class TestFeatureSeparatedMha:
         w_map = rng.standard_normal((B, F, D))
 
         def loss():
-            out, reduced, _ = feature_separated_mha(r, params, AttentionKind("vanilla"),
-                                                    h, np.random.default_rng(0))
+            out, reduced = feature_separated_mha(r, params, AttentionKind("vanilla"),
+                                                 h, np.random.default_rng(0))
             return (out * Tensor(w_out)).sum() + (reduced * Tensor(w_map)).sum()
 
         check_gradients(loss, [r, params["wq"], params["wk"], params["wv"],
@@ -491,8 +531,7 @@ class TestFeatureSeparatedMha:
         w_out = rng.standard_normal((B, D, F * f_embed))
 
         def loss():
-            out, _, _ = feature_separated_mha(r, params, kind, h,
-                                              np.random.default_rng(3))
+            out, _ = feature_separated_mha(r, params, kind, h, np.random.default_rng(3))
             return (out * Tensor(w_out)).sum()
 
         check_gradients(loss, [r, params["wq"], params["wv"]], tol=5e-4)
@@ -511,20 +550,31 @@ class TestProbsparseSparsePath:
 
     @pytest.mark.parametrize("D,c", SPARSE_CASES)
     def test_values_map_and_input_gradients_match_oracle(self, D, c):
-        assert probsparse_top_u(D, c) < D
+        u = probsparse_top_u(D, c)
+        assert u < D
         rng = np.random.default_rng(D)
         q, k, v = (rand_tensor(rng, 2, 3, D, 4) for _ in range(3))
         w_out = rng.standard_normal((2, 3, D, 4))
-        w_map = rng.standard_normal((2, D, D))
-        results = []
-        for kernel in (probsparse_attention, probsparse_masked_dense):
+        w_rows = rng.standard_normal((2, 3, u, D))
+        # the oracle's selected rows, in its top-u order
+        scores = q.data @ np.swapaxes(k.data, -1, -2) * (1.0 / math.sqrt(4))
+        rows = oracle_top_queries(scores, u, np.random.default_rng(9))[..., None]
+        w_dense = np.zeros((2, 3, D, D))
+        np.put_along_axis(w_dense, rows, w_rows, axis=-2)
+
+        def run(kernel, w_weights):
             for t in (q, k, v):
                 t.zero_grad()
-            out, amap = kernel(q, k, v, c, np.random.default_rng(9))
-            ((out * Tensor(w_out)).sum() + (amap * Tensor(w_map)).sum()).backward()
-            results.append((out.data, amap.data, q.grad, k.grad, v.grad))
-        for got, want in zip(*results):
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            out, weights = kernel(q, k, v, c, np.random.default_rng(9))
+            ((out * Tensor(w_out)).sum() + (weights * Tensor(w_weights)).sum()).backward()
+            return out.data, weights.data, q.grad, k.grad, v.grad
+
+        got = run(probsparse_attention, w_rows)
+        want = run(probsparse_masked_dense, w_dense)
+        want = (want[0], np.take_along_axis(want[1], rows, axis=-2)) + want[2:]
+        assert got[1].shape == (2, 3, u, D)
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("D,c", SPARSE_CASES)
     def test_mha_outputs_reduced_full_maps_and_gradients_match_oracle(self, D, c,
@@ -540,15 +590,14 @@ class TestProbsparseSparsePath:
         def run(kind):
             for t in leaves:
                 t.zero_grad()
-            out, reduced, full = feature_separated_mha(r, params, AttentionKind(kind, c), h,
-                                                       np.random.default_rng(4),
-                                                       record_full=True)
+            out, reduced = feature_separated_mha(r, params, AttentionKind(kind, c), h,
+                                                 np.random.default_rng(4))
             ((out * Tensor(w_out)).sum() + (reduced * Tensor(w_red)).sum()).backward()
-            return [out.data, reduced.data, full] + [t.grad for t in leaves]
+            return [out.data, reduced.data] + [t.grad for t in leaves]
 
         got = run("probsparse")
-        # the vanilla branch of the wrapper, running the oracle, is the wrapper
-        # as it was before the sparse path: reduce_map over the dense map
+        # the vanilla branch of the wrapper, running the oracle, reduces the
+        # oracle's full D x D rows: reduce_map over the head-averaged map
         monkeypatch.setattr(attention, "vanilla_attention", lambda q, k, v: (
             probsparse_masked_dense(q, k, v, c, np.random.default_rng(4))))
         want = run("vanilla")
@@ -564,8 +613,7 @@ class TestProbsparseSparsePath:
         w_red = rng.standard_normal((B, F, D))
 
         def loss():
-            _, reduced, _ = feature_separated_mha(r, params, kind, h,
-                                                  np.random.default_rng(3))
+            _, reduced = feature_separated_mha(r, params, kind, h, np.random.default_rng(3))
             return (reduced * Tensor(w_red)).sum()
 
         check_gradients(loss, [r, params["wq"], params["wk"], params["bq"], params["bk"]],
@@ -591,3 +639,47 @@ class TestProbsparseSparsePath:
             stack.extend(node._parents)
         # vanilla shows that the walk finds the D x D scores when they exist
         assert (not square) if kind == "probsparse" else ("softmax" in square)
+
+
+# ---------------------------------------------------------------------------
+# one contract for every kind
+# ---------------------------------------------------------------------------
+
+class TestReduceOrder:
+    """The reduced vector keeps each kind's summation order bit for bit: a
+    change in the last bit moves a seeded training run far past its noise."""
+
+    @pytest.mark.parametrize("kind,c", [("vanilla", 5.0), ("entmax15", 5.0),
+                                        ("probsparse", 3.0)])
+    def test_reduce_order_is_pinned(self, kind, c, monkeypatch):
+        rng = np.random.default_rng(49)
+        F, f_embed, h, B, D = 2, 8, 2, 4, 60
+        params = make_attention_params(rng, F, f_embed, dtype=np.float32)
+        r = Tensor(rng.standard_normal((B, D, F * f_embed)).astype(np.float32))
+        kernel = spy_on_kernel(monkeypatch, kind)
+        _, reduced = feature_separated_mha(r, params, AttentionKind(kind, c), h,
+                                           np.random.default_rng(0))
+        (_, weights), = kernel.results
+        rows = weights.shape[-2]
+        w = Tensor(weights.data)
+        mean_first = reduce_map(w.mean(axis=-3)).data
+        sum_first = (w.sum(axis=(-3, -2)) * (1.0 / h) + (D - rows) / D).data
+        # the two orders differ on this input, so swapping them is seen
+        assert not np.array_equal(mean_first, sum_first)
+        want = sum_first if kind == "probsparse" else mean_first
+        assert (rows < D) == (kind == "probsparse")
+        np.testing.assert_array_equal(reduced.data, want.transpose(1, 0, 2))
+
+
+@pytest.mark.parametrize("kind", ["vanilla", "entmax15", "probsparse"])
+def test_model_forward_calls_the_kind_kernel_through_the_module(kind, monkeypatch):
+    # spans of the traced benchmark wrap these module globals; a forward that
+    # bypassed them would leave attention.kernel_ms with no calls to divide by
+    cfg = ModelConfig(T=48, F=2, f_embed=4, n_layers=2, heads=2, attention=kind,
+                      branches=[{"kernel": 3, "dilation": 1}])
+    spies = {other: spy_on_kernel(monkeypatch, other) for other in KERNELS}
+    x = np.random.default_rng(7).random((2, cfg.T, cfg.F)).astype(np.float32)
+    TsrmModel(cfg, seed=7).forward(x)
+    assert {other: len(spy.results) for other, spy in spies.items()} == \
+        {other: cfg.n_layers if other == kind else 0 for other in KERNELS}
+

@@ -206,6 +206,36 @@ class TestFinetuneAndEval:
         assert capsys.readouterr().out == ""
         assert "(b, t, f) = (1, 3, 0) is 7.0" in caplog.text
 
+    @pytest.mark.parametrize("command", ["eval", "explain", "finetune"])
+    @pytest.mark.parametrize("n_cols", [1, 2])
+    def test_csv_with_other_column_count_than_stats_exits_with_data_error_code(
+            self, tmp_path, capsys, caplog, command, n_cols):
+        from tsrm.data import NormStats
+        from tsrm.finetune import TaskSpec, prepare_finetune
+        from tsrm.model import ModelConfig, TsrmModel, save_checkpoint
+        cfg = ModelConfig(T=24, F=3, f_embed=4, n_layers=1, heads=2,
+                          branches=[{"kernel": 3, "dilation": 1}], dropout_p=0.0)
+        model = prepare_finetune(TsrmModel(cfg, seed=0), TaskSpec("impute"))
+        save_checkpoint(model, tmp_path / "m")
+        (tmp_path / "m" / "norm_stats.json").write_text(json.dumps(
+            NormStats(np.zeros(3), np.ones(3)).to_dict()))
+        rows = [",".join(f"c{j}" for j in range(n_cols))]
+        rows += [",".join(f"{0.5 + 0.4 * math.sin(t / 3 + j):.4f}" for j in range(n_cols))
+                 for t in range(96)]
+        csv_path = tmp_path / "narrow.csv"
+        csv_path.write_text("\n".join(rows) + "\n")
+        cfg_path = write_config(tmp_path / "cfg.json")
+        argv = {"eval": ["eval", "--model", str(tmp_path / "m"), "--test-csv", str(csv_path)],
+                "explain": ["explain", "--model", str(tmp_path / "m"),
+                            "--input-csv", str(csv_path), "--sample", "0",
+                            "--out", str(tmp_path / "x")],
+                "finetune": ["finetune", "--task", "impute", "--model", str(tmp_path / "m"),
+                             "--config", str(cfg_path), "--train-csv", str(csv_path),
+                             "--out", str(tmp_path / "ft")]}[command]
+        assert run(argv) == 2
+        assert capsys.readouterr().out == ""
+        assert f"data has {n_cols} columns but the normalization stats cover 3" in caplog.text
+
     def test_horizon_with_classify_rejected(self, workspace):
         tmp, csv_path, cfg_path = workspace
         pre = tmp / "pre-x"

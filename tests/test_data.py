@@ -99,6 +99,13 @@ class TestNormalization:
         out, _ = normalize(np.array([[np.nan], [0.5]]), stats)
         assert np.isnan(out[0, 0])
 
+    @pytest.mark.parametrize("n_cols", [1, 2])
+    def test_column_count_must_match_stats(self, n_cols):
+        # a single column would otherwise broadcast against all three features
+        stats = NormStats(np.zeros(3), np.ones(3))
+        with pytest.raises(DataError, match=f"{n_cols} columns .* cover 3 features"):
+            normalize(np.full((4, n_cols), 0.5), stats)
+
     def test_constant_feature_rejected_by_name(self):
         with pytest.raises(DataError, match="'b'.*constant|b.*constant"):
             compute_stats(np.array([[1.0, 2.0], [3.0, 2.0]]), ["a", "b"])

@@ -19,6 +19,7 @@ from tsrm.autodiff import (
     no_grad,
     sigmoid,
 )
+import tsrm.model as model_module
 from tsrm.attention import feature_separated_mha
 from tsrm.errors import (
     ConfigError,
@@ -216,8 +217,8 @@ class TestRepresentationAndMerge:
         model, cfg = identity_model()
         x = np.random.default_rng(8).random((2, 24, 1)).astype(np.float32)
         e = model.embed(Tensor(x))
-        e_out, _, _, _ = model.encoding_layer(e, None, 0, training=False,
-                                              rng=np.random.default_rng(0))
+        e_out, _, _ = model.encoding_layer(e, None, 0, training=False,
+                                           rng=np.random.default_rng(0))
         np.testing.assert_array_equal(e_out.data, e.data)
 
     def test_wiring_against_straight_line_reimplementation(self):
@@ -227,8 +228,8 @@ class TestRepresentationAndMerge:
         e = Tensor(rng.random((2, 24, 16)).astype(np.float32))
         res_in = Tensor(rng.random((2, cfg.D, 16)).astype(np.float32) * 0.1)
 
-        _, res_out, _, _ = model.encoding_layer(e, res_in, 0, training=False,
-                                                rng=np.random.default_rng(0))
+        _, res_out, _ = model.encoding_layer(e, res_in, 0, training=False,
+                                             rng=np.random.default_rng(0))
 
         # straight-line rebuild of the wiring from the same parameters
         r = model.representation(e, 0) + res_in
@@ -236,8 +237,8 @@ class TestRepresentationAndMerge:
                         model.t("el0.block1.norm.beta"))
         attn_params = {k: model.t(f"el0.attn.{k}")
                        for k in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")}
-        mha_out, _, _ = feature_separated_mha(gelu(g1), attn_params, cfg.attention_kind,
-                                              cfg.heads, np.random.default_rng(0))
+        mha_out, _ = feature_separated_mha(gelu(g1), attn_params, cfg.attention_kind,
+                                           cfg.heads, np.random.default_rng(0))
         x = r + mha_out
         g2 = group_norm(x, cfg.F, model.t("el0.block2.norm.gamma"),
                         model.t("el0.block2.norm.beta"))
@@ -608,11 +609,17 @@ class TestCheckpointing:
 
 
 class TestRebuild:
-    def test_absolute_kernels_share_all_tensors(self):
+    def test_absolute_kernels_share_all_tensors(self, monkeypatch):
         model = TsrmModel(small_config(T=96), seed=35)
+
+        def no_draw(*args):
+            raise AssertionError("a rebuild with unchanged shapes initialized a parameter")
+
+        monkeypatch.setattr(model_module, "_initial_value", no_draw)
         bigger, reinit = rebuild_for_window(model, 120)
         assert reinit == []
         assert bigger.config.T == 120
+        assert list(bigger.params) == list(model.params)
         for name in model.params:
             assert bigger.params[name].tensor is model.params[name].tensor
 
@@ -624,3 +631,8 @@ class TestRebuild:
         assert any("rl.conv0" in name for name in reinit)
         assert any("ml.tconv0" in name for name in reinit)
         assert bigger.params["embed.w"].tensor is model.params["embed.w"].tensor
+        # reinitialized kernels take a seed-0 model's values at the new window
+        seeded = TsrmModel(bigger.config, seed=0)
+        for name in reinit:
+            np.testing.assert_array_equal(bigger.params[name].data, seeded.params[name].data)
+        assert list(bigger.params) == list(seeded.params)
