@@ -461,9 +461,10 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    z = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=axis, keepdims=True)
+    # one array of a's size, exponentiated and normalized in place
+    s = a.data - a.data.max(axis=axis, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=axis, keepdims=True)
 
     def backward(g):
         dot = (g * s).sum(axis=axis, keepdims=True)

@@ -640,6 +640,24 @@ class TestProbsparseSparsePath:
         # vanilla shows that the walk finds the D x D scores when they exist
         assert (not square) if kind == "probsparse" else ("softmax" in square)
 
+    def test_query_selection_holds_one_slice_product_at_a_time(self):
+        # guards peak RSS: the data-only q k^T of the whole [F, B, h, D, D]
+        # stack set the eval forward's peak; one feature slice is 1/8 of it
+        rng = np.random.default_rng(49)
+        q, k = (rng.standard_normal((8, 4, 2, 128, 8)) for _ in range(2))
+        whole = q[..., 0].size * q.shape[-2] * q.itemsize             # bytes of q k^T
+        tracemalloc.start()
+        try:
+            got = attention._top_queries(q, k, 5, np.random.default_rng(1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * whole, f"peak {peak / whole:.2f}x the whole product"
+        # an unstacked [D, d_h] query set takes the same path as a one-slice stack
+        np.testing.assert_array_equal(
+            attention._top_queries(q[0, 0, 0], k[0, 0, 0], 5, np.random.default_rng(1)),
+            attention._top_queries(q[:1, 0, 0], k[:1, 0, 0], 5, np.random.default_rng(1))[0])
+
 
 # ---------------------------------------------------------------------------
 # one contract for every kind

@@ -2,6 +2,7 @@
 
 import platform
 import resource
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -251,6 +252,22 @@ class TestActivations:
         z = rng.standard_normal((4, 6))
         np.testing.assert_allclose(softmax(Tensor(z)).data, softmax(Tensor(z + 100.0)).data,
                                    atol=1e-12)
+
+    def test_softmax_allocates_one_array_of_the_input_size(self):
+        # guards peak RSS: attention softmaxes score arrays of up to
+        # [F, B, h, D, D]; shifted, exponentiated and normalized copies each
+        # cost another such array
+        z = np.random.default_rng(13).standard_normal((64, 128, 128))
+        t = Tensor(z)
+        with no_grad():
+            tracemalloc.start()
+            try:
+                s = softmax(t, axis=-1)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak <= 1.2 * z.nbytes, f"peak {peak / z.nbytes:.2f}x the input"
+        np.testing.assert_allclose(s.data.sum(axis=-1), 1.0, atol=1e-12)
 
 
 class TestDropout:
