@@ -127,9 +127,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     # -- graph plumbing ------------------------------------------------------
 
     def _accumulate(self, g: np.ndarray) -> None:
@@ -174,26 +171,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, _coerce(other, self.data.dtype))
 
-    def __radd__(self, other):
-        return add(_coerce(other, self.data.dtype), self)
-
     def __sub__(self, other):
         return sub(self, _coerce(other, self.data.dtype))
 
-    def __rsub__(self, other):
-        return sub(_coerce(other, self.data.dtype), self)
-
     def __mul__(self, other):
         return mul(self, _coerce(other, self.data.dtype))
-
-    def __rmul__(self, other):
-        return mul(_coerce(other, self.data.dtype), self)
-
-    def __neg__(self):
-        return mul(self, _as_tensor(np.asarray(-1, dtype=self.data.dtype)))
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
 
     def reshape(self, *shape):
         return reshape(self, shape if len(shape) > 1 or isinstance(shape[0], int) else shape[0])
@@ -209,13 +191,6 @@ class Tensor:
 
     def narrow(self, axis: int, start: int, length: int):
         return narrow(self, axis, start, length)
-
-    def square(self):
-        return mul(self, self)
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x))
 
 
 def _coerce(x, dtype) -> Tensor:
@@ -405,7 +380,7 @@ def tmean(a: Tensor, axis=None, keepdims=False) -> Tensor:
     else:
         count = a.data.shape[axis] if isinstance(axis, int) else int(np.prod([a.data.shape[ax] for ax in axis]))
     s = tsum(a, axis=axis, keepdims=keepdims)
-    return mul(s, _as_tensor(np.asarray(1.0 / count, dtype=a.data.dtype)))
+    return mul(s, Tensor(np.asarray(1.0 / count, dtype=a.data.dtype)))
 
 
 # ---------------------------------------------------------------------------
@@ -429,14 +404,15 @@ def gelu(a: Tensor) -> Tensor:
     return _make(data, (a,), backward, "gelu")
 
 
-def elu(a: Tensor, alpha: float = 1.0) -> Tensor:
+def elu(a: Tensor) -> Tensor:
+    """ELU with alpha 1."""
     x = a.data
     neg = np.minimum(x, 0)
-    expm = alpha * (np.exp(neg) - 1.0)
+    expm = np.exp(neg) - 1.0
     data = np.where(x > 0, x, expm).astype(x.dtype)
 
     def backward(g):
-        local = np.where(x > 0, np.ones_like(x), expm + alpha)
+        local = np.where(x > 0, np.ones_like(x), expm + 1.0)
         a._accumulate((g * local).astype(x.dtype))
 
     return _make(data, (a,), backward, "elu")
@@ -666,12 +642,15 @@ def adaptive_maxpool1d(x: Tensor, out_len: int) -> Tensor:
     return _make(out, (x,), backward, "adaptive_maxpool1d")
 
 
-def group_norm(x: Tensor, groups: int, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+GROUP_NORM_EPS = 1e-5
+
+
+def group_norm(x: Tensor, groups: int, gamma: Tensor, beta: Tensor) -> Tensor:
     """Group normalization over [B, L, C] with channel groups.
 
     Each group is normalized to zero mean / unit variance over its
     (L x group-width) slice per sample, then scaled and shifted per channel.
-    Zero-variance slices come out as zeros (eps guards the division).
+    Zero-variance slices come out as zeros (GROUP_NORM_EPS guards it).
     """
     B, L, C = x.data.shape
     if C % groups != 0:
@@ -680,7 +659,7 @@ def group_norm(x: Tensor, groups: int, gamma: Tensor, beta: Tensor, eps: float =
     xg = x.data.reshape(B, L, groups, w)
     mean = xg.mean(axis=(1, 3), keepdims=True)
     var = xg.var(axis=(1, 3), keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + GROUP_NORM_EPS)
     xhat = ((xg - mean) * inv).astype(x.data.dtype)
     out = xhat.reshape(B, L, C) * gamma.data + beta.data
 
@@ -773,20 +752,17 @@ def kaiming_uniform(shape, fan_in: int, rng: np.random.Generator, dtype=np.float
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
     """Canonical Adam with bias correction; skips frozen parameters."""
 
-    def __init__(self, params: Iterable[Parameter], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: Iterable[Parameter], lr: float = 1e-3):
         if lr <= 0:
             raise ConfigError(f"learning rate must be positive, got {lr}")
-        if not (0.0 < beta1 < 1.0 and 0.0 < beta2 < 1.0):
-            raise ConfigError(f"Adam betas must lie in (0, 1), got {beta1}, {beta2}")
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self._m = {p.name: np.zeros_like(p.data) for p in self.params}
         self._v = {p.name: np.zeros_like(p.data) for p in self.params}
@@ -797,7 +773,7 @@ class Adam:
 
     def step(self) -> None:
         self.step_count += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         bc1 = 1.0 - b1 ** self.step_count
         bc2 = 1.0 - b2 ** self.step_count
         for p in self.params:
@@ -813,7 +789,7 @@ class Adam:
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * (g * g)
-            update = (self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)).astype(p.data.dtype)
+            update = (self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)).astype(p.data.dtype)
             p.tensor.data = p.tensor.data - update
 
 

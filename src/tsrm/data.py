@@ -22,13 +22,14 @@ from .errors import ConfigError, DataError
 logger = logging.getLogger("tsrm.data")
 
 TIMESTAMP_NAMES = {"t", "time", "timestamp", "date", "datetime"}
+MAX_MISSING_FRACTION = 0.8
 
 
 @dataclass
 class DatasetSpec:
-    """Where the data lives and how to slice it."""
+    """Which columns to read and how to slice them; the CSV files come from
+    the command line."""
 
-    path: Optional[str] = None
     feature_columns: Optional[list] = None
     window: int = 96
     stride: int = 96
@@ -46,7 +47,7 @@ class DatasetSpec:
 
     def to_dict(self) -> dict:
         return {
-            "path": self.path, "feature_columns": self.feature_columns,
+            "feature_columns": self.feature_columns,
             "window": self.window, "stride": self.stride,
             "split_fractions": list(self.split_fractions),
             "mask_per_feature": self.mask_per_feature,
@@ -88,18 +89,6 @@ class WindowedDataset:
 
     def __len__(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def T(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def F(self) -> int:
-        return self.values.shape[2]
-
-    def subset(self, idx) -> "WindowedDataset":
-        labels = None if self.labels is None else self.labels[idx]
-        return WindowedDataset(self.values[idx], labels)
 
 
 def load_csv(path, feature_columns: Optional[list] = None,
@@ -224,9 +213,8 @@ def denormalize(values: np.ndarray, stats: NormStats) -> np.ndarray:
 
 
 def window(series: np.ndarray, T: int, stride: int,
-           labels: Optional[np.ndarray] = None,
-           max_missing_fraction: float = 0.8) -> WindowedDataset:
-    """Cut overlapping windows; windows with > max_missing_fraction missing
+           labels: Optional[np.ndarray] = None) -> WindowedDataset:
+    """Cut overlapping windows; windows with > MAX_MISSING_FRACTION missing
     are dropped (and counted in the log). Window labels, when present, come
     from the last row of each window."""
     n = series.shape[0]
@@ -237,7 +225,7 @@ def window(series: np.ndarray, T: int, stride: int,
     for s in starts:
         win = series[s: s + T]
         missing_frac = np.isnan(win).mean()
-        if missing_frac > max_missing_fraction:
+        if missing_frac > MAX_MISSING_FRACTION:
             dropped += 1
             continue
         keep_values.append(win)
@@ -245,7 +233,7 @@ def window(series: np.ndarray, T: int, stride: int,
             keep_labels.append(labels[s + T - 1])
     if dropped:
         logger.info("dropped %d windows with more than %.0f%% missing values",
-                    dropped, 100 * max_missing_fraction)
+                    dropped, 100 * MAX_MISSING_FRACTION)
     if not keep_values:
         raise DataError("no usable windows (empty dataset after filtering)")
     return WindowedDataset(np.stack(keep_values),

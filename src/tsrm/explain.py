@@ -138,11 +138,10 @@ def export_attention(model: TsrmModel, values: np.ndarray, observed: np.ndarray,
     return written
 
 
-def _render_svg(inputs: np.ndarray, outputs: np.ndarray, weights: np.ndarray,
-                width: int = 900, height: int = 300) -> str:
+def _render_svg(inputs: np.ndarray, outputs: np.ndarray, weights: np.ndarray) -> str:
     """Minimal line plot: input/output series plus vertical attention bars."""
     T = len(inputs)
-    pad = 30
+    width, height, pad = 900, 300, 30
     lo = float(min(inputs.min(), outputs.min(), 0.0))
     hi = float(max(inputs.max(), outputs.max(), 1.0))
     w_max = float(weights.max()) or 1.0

@@ -31,6 +31,10 @@ logger = logging.getLogger("tsrm.finetune")
 
 TASK_KINDS = ("forecast", "impute", "classify")
 
+# windows per evaluation forward: the activations of one batch, not the
+# dataset's size, set an evaluation's peak memory
+EVAL_BATCH = 64
+
 # classifier parameters sit under this prefix; the sequence path is the rest
 _AC_PREFIX = "ac."
 _SEQUENCE_PREFIXES = ("embed.", "el", "deembed.")
@@ -187,11 +191,11 @@ def macro_f1(y_true: np.ndarray, y_pred: np.ndarray, n_classes: int) -> float:
     return float(np.mean(scores))
 
 
-def _batched_forward(model: TsrmModel, inputs: np.ndarray, batch_size: int = 64):
+def _batched_forward(model: TsrmModel, inputs: np.ndarray):
     outputs, logits = [], []
     with no_grad():
-        for s in range(0, inputs.shape[0], batch_size):
-            trace = model.forward(inputs[s: s + batch_size])
+        for s in range(0, inputs.shape[0], EVAL_BATCH):
+            trace = model.forward(inputs[s: s + EVAL_BATCH])
             outputs.append(trace.output.data)
             logits.append(trace.class_logits.data)
     return np.concatenate(outputs), np.concatenate(logits)

@@ -501,9 +501,6 @@ class TsrmModel:
 
     # -- persistence -----------------------------------------------------------
 
-    def save_checkpoint(self, directory) -> None:
-        save_checkpoint(self, directory)
-
     def state_arrays(self) -> dict:
         return {name: p.data for name, p in self.params.items()}
 

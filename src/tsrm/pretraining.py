@@ -135,7 +135,6 @@ def build_model_input(values: np.ndarray, observed: np.ndarray,
 
 def build_pretrain_batch(values: np.ndarray, observed: np.ndarray,
                          rng: np.random.Generator,
-                         invalid_rate: float = INVALID_RATE,
                          per_feature: bool = False) -> PretrainBatch:
     """Assemble a batch: invalid-candidate substitution (i.i.d. Bernoulli),
     fresh evaluation masks, and -1 tokenized inputs."""
@@ -145,7 +144,7 @@ def build_pretrain_batch(values: np.ndarray, observed: np.ndarray,
     validity = np.ones(B, dtype=np.float32)
     eval_mask = np.zeros((B, T, F), dtype=bool)
     for b in range(B):
-        if rng.random() < invalid_rate:
+        if rng.random() < INVALID_RATE:
             validity[b] = 0.0
             v, o = make_invalid_candidate(out_values[b], out_observed[b], rng)
             out_values[b] = v
@@ -179,6 +178,9 @@ def pretrain_loss(trace: ForwardTrace, batch: PretrainBatch,
     """
     if trace.output.shape != batch.values.shape:
         raise ConfigError(f"output {trace.output.shape} vs targets {batch.values.shape}")
+    if trace.class_logits.shape[-1] != 1:
+        raise ConfigError(f"pretraining scores validity with one logit, the model has "
+                          f"{trace.class_logits.shape[-1]} (num_classes must be 1)")
     repr_mask = batch.observed & ~batch.eval_mask
     diff = trace.output - Tensor(batch.values)
     se = diff * diff

@@ -26,7 +26,7 @@ from .finetune import (
     finetune_loss,
 )
 from .model import TsrmModel, save_checkpoint
-from .pretraining import build_pretrain_batch, pretrain_loss
+from .pretraining import PretrainBatch, build_pretrain_batch, pretrain_loss
 
 logger = logging.getLogger("tsrm.trainer")
 
@@ -178,62 +178,64 @@ class RunLog:
 # objectives
 # ---------------------------------------------------------------------------
 
-class PretrainObjective:
-    """Reconstruction + imputation + validity classification on windows.
+# validation batches draw their masks and substitutions from this seed once,
+# so the early stopping signal is comparable across epochs
+VAL_SEED = 1234
 
-    Training batches re-draw masks and invalid-candidate substitutions each
-    epoch; validation batches are generated once from a fixed seed so the
-    early stopping signal is comparable across epochs.
-    """
+
+class _WindowObjective:
+    """Batches of windows for one objective: a fresh shuffle and fresh
+    batches every epoch for training, one fixed set for validation.
+    Subclasses give ``_build(values, observed, labels, rng)`` and ``loss``."""
 
     def __init__(self, train_ds: WindowedDataset, val_ds: WindowedDataset,
-                 alpha: float = 3.5, beta: float = 1.2, gamma: float = 5.0,
-                 batch_size: int = 32, per_feature_masks: bool = False,
-                 val_seed: int = 1234):
+                 batch_size: int, per_feature_masks: bool):
         self.train_ds = train_ds
-        self.alpha, self.beta, self.gamma = alpha, beta, gamma
         self.batch_size = batch_size
         self.per_feature = per_feature_masks
-        rng = np.random.default_rng(val_seed)
-        self._val = [build_pretrain_batch(val_ds.values[s: s + batch_size],
-                                          val_ds.observed[s: s + batch_size],
-                                          rng, per_feature=per_feature_masks)
+        rng = np.random.default_rng(VAL_SEED)
+        self._val = [self._build_rows(val_ds, slice(s, s + batch_size), rng)
                      for s in range(0, len(val_ds), batch_size)]
+
+    def _build_rows(self, ds: WindowedDataset, idx, rng):
+        labels = None if ds.labels is None else ds.labels[idx]
+        return self._build(ds.values[idx], ds.observed[idx], labels, rng)
 
     def train_batches(self, rng: np.random.Generator) -> list:
         order = rng.permutation(len(self.train_ds))
-        batches = []
-        for s in range(0, len(order), self.batch_size):
-            idx = order[s: s + self.batch_size]
-            batches.append(build_pretrain_batch(self.train_ds.values[idx],
-                                                self.train_ds.observed[idx],
-                                                rng, per_feature=self.per_feature))
-        return batches
+        return [self._build_rows(self.train_ds, order[s: s + self.batch_size], rng)
+                for s in range(0, len(order), self.batch_size)]
 
     def val_batches(self) -> list:
         return self._val
+
+
+class PretrainObjective(_WindowObjective):
+    """Reconstruction + imputation + validity classification on windows;
+    training batches re-draw masks and invalid-candidate substitutions."""
+
+    def __init__(self, train_ds: WindowedDataset, val_ds: WindowedDataset,
+                 alpha: float = 3.5, beta: float = 1.2, gamma: float = 5.0,
+                 batch_size: int = 32, per_feature_masks: bool = False):
+        self.alpha, self.beta, self.gamma = alpha, beta, gamma
+        super().__init__(train_ds, val_ds, batch_size, per_feature_masks)
+
+    def _build(self, values, observed, labels, rng) -> PretrainBatch:
+        return build_pretrain_batch(values, observed, rng, per_feature=self.per_feature)
 
     def loss(self, trace, batch):
         total, bd = pretrain_loss(trace, batch, self.alpha, self.beta, self.gamma)
         return total, bd.to_dict()
 
 
-class FinetuneObjective:
+class FinetuneObjective(_WindowObjective):
     """Task loss over windowed data; imputation re-masks per epoch."""
 
     def __init__(self, task: TaskSpec, train_ds: WindowedDataset,
                  val_ds: WindowedDataset, batch_size: int = 32,
-                 per_feature_masks: bool = False, val_seed: int = 1234):
+                 per_feature_masks: bool = False):
         self.task = task
-        self.train_ds = train_ds
-        self.batch_size = batch_size
-        self.per_feature = per_feature_masks
-        rng = np.random.default_rng(val_seed)
-        self._val = [self._build(val_ds.values[s: s + batch_size],
-                                 val_ds.observed[s: s + batch_size],
-                                 None if val_ds.labels is None
-                                 else val_ds.labels[s: s + batch_size], rng)
-                     for s in range(0, len(val_ds), batch_size)]
+        super().__init__(train_ds, val_ds, batch_size, per_feature_masks)
 
     def _build(self, values, observed, labels, rng) -> FinetuneBatch:
         if self.task.kind == "forecast":
@@ -241,20 +243,6 @@ class FinetuneObjective:
         if self.task.kind == "impute":
             return build_impute_batch(values, observed, rng, self.per_feature)
         return build_classify_batch(values, observed, labels)
-
-    def train_batches(self, rng: np.random.Generator) -> list:
-        order = rng.permutation(len(self.train_ds))
-        labels = self.train_ds.labels
-        out = []
-        for s in range(0, len(order), self.batch_size):
-            idx = order[s: s + self.batch_size]
-            out.append(self._build(self.train_ds.values[idx],
-                                   self.train_ds.observed[idx],
-                                   None if labels is None else labels[idx], rng))
-        return out
-
-    def val_batches(self) -> list:
-        return self._val
 
     def loss(self, trace, batch):
         total = finetune_loss(trace, batch, self.task)

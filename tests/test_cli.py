@@ -88,6 +88,19 @@ class TestUsageErrors:
         assert code == 2
         assert "non-finite cell '1e999' at row 4" in caplog.text
 
+    @pytest.mark.parametrize("section,override", [
+        ("data", {"path": "x.csv"}),        # the CSVs come from the flags only
+        ("model", {"num_classes": 3}),      # pretraining scores one validity logit
+    ])
+    def test_rejected_pretrain_config(self, workspace, section, override):
+        tmp, csv_path, cfg_path = workspace
+        cfg = json.loads(cfg_path.read_text())
+        cfg[section].update(override)
+        cfg_path.write_text(json.dumps(cfg))
+        code = run(["pretrain", "--config", str(cfg_path),
+                    "--train-csv", str(csv_path), "--out", str(tmp / "out")])
+        assert code == 2
+
 
 class TestPretrainCommand:
     def test_writes_checkpoint_runlog_and_config(self, workspace, capsys):

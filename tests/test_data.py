@@ -204,5 +204,5 @@ class TestDatasetSpec:
             DatasetSpec.from_dict({"window": 96, "bogus": True})
 
     def test_round_trip(self):
-        spec = DatasetSpec(path="x.csv", window=48, stride=24)
+        spec = DatasetSpec(feature_columns=["v"], window=48, stride=24)
         assert DatasetSpec.from_dict(spec.to_dict()).to_dict() == spec.to_dict()

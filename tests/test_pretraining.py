@@ -228,6 +228,12 @@ class TestPretrainLoss:
         b = pretrain_loss(fabricated_trace(np.full((1, 20, 1), 123.0), np.zeros((1, 1))), batch)[1]
         assert a.total == b.total
 
+    def test_multi_class_logits_rejected(self):
+        # one validity target per sample cannot score three logits
+        trace = fabricated_trace(np.zeros((1, 20, 1)), np.zeros((1, 3)))
+        with pytest.raises(ConfigError, match="num_classes must be 1"):
+            pretrain_loss(trace, self.batch())
+
     def test_perfect_prediction_drives_loss_to_zero(self):
         batch = self.batch()
         trace = fabricated_trace(np.zeros((1, 20, 1)), np.full((1, 1), 30.0))

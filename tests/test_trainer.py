@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tsrm.autodiff import Tensor
-from tsrm.data import synth_dataset
+from tsrm.data import WindowedDataset, synth_dataset
 from tsrm.errors import ConfigError, NumericsError
 from tsrm.model import ForwardTrace, ModelConfig, TsrmModel, load_checkpoint
 from tsrm.trainer import (
@@ -19,7 +19,7 @@ from tsrm.trainer import (
     early_stop_check,
     train,
 )
-from tsrm.finetune import TaskSpec
+from tsrm.finetune import TaskSpec, prepare_finetune
 import tsrm.trainer as trainer_module
 
 from helpers import spy_forward
@@ -207,7 +207,6 @@ class TestTrainLoop:
         assert len(log.epochs) <= 6
 
     def test_finetune_objective_forecast(self):
-        from tsrm.finetune import prepare_finetune
         cfg = ModelConfig(T=20, F=1, f_embed=4, n_layers=1, heads=2,
                           branches=[{"kernel": 3, "dilation": 1}], dropout_p=0.0)
         model = TsrmModel(cfg, seed=3)
@@ -219,3 +218,74 @@ class TestTrainLoop:
         model, log = train(model, objective, TrainConfig(max_epochs=2, batch_size=8, seed=0))
         assert len(log.epochs) == 2
         assert log.epochs[0]["val"]["total"] > 0
+
+
+def tiny_task_model(task, T=24):
+    cfg = ModelConfig(T=T, F=1, f_embed=4, n_layers=1, heads=2,
+                      branches=[{"kernel": 3, "dilation": 1}], dropout_p=0.0)
+    return prepare_finetune(TsrmModel(cfg, seed=3), task)
+
+
+def labeled_windows(n=20):
+    """Sine windows whose first value encodes the row index, with random
+    labels in [0, 3); returns (dataset, labels)."""
+    values = synth_dataset("sine", T=24, F=1, n=n, seed=4).values
+    values[:, 0, 0] = np.arange(n) / 100.0
+    labels = np.random.default_rng(0).integers(0, 3, n)
+    return WindowedDataset(values, labels), labels
+
+
+def batch_rows(batch) -> np.ndarray:
+    return np.rint(batch.values[:, 0, 0] * 100.0).astype(int)
+
+
+class TestClassifyObjective:
+    task = TaskSpec("classify", num_classes=3)
+
+    def test_batches_keep_each_row_with_its_label(self):
+        ds, labels = labeled_windows()
+        objective = FinetuneObjective(self.task, ds, ds, batch_size=8)
+        batches = objective.train_batches(np.random.default_rng(1))
+        rows = np.concatenate([batch_rows(b) for b in batches])
+        assert sorted(rows) == list(range(len(ds)))
+        assert not np.array_equal(rows, np.arange(len(ds)))  # shuffled
+        for batch in batches + objective.val_batches():
+            np.testing.assert_array_equal(batch.labels, labels[batch_rows(batch)])
+
+    def test_unlabeled_dataset_raises_config_error(self):
+        ds = synth_dataset("sine", T=24, F=1, n=8, seed=4)
+        objective = FinetuneObjective(self.task, ds, ds, batch_size=8)
+        with pytest.raises(ConfigError, match="needs labels"):
+            train(tiny_task_model(self.task), objective, TrainConfig(max_epochs=1, batch_size=8))
+
+
+class TestTracedHooks:
+    """``bench/spans.py`` times batch building and the losses by wrapping
+    these names in the ``tsrm.trainer`` namespace, and divides by their call
+    counts; an objective that reached them another way would go untimed."""
+
+    HOOKS = ("build_pretrain_batch", "pretrain_loss", "build_forecast_batch",
+             "build_impute_batch", "build_classify_batch", "finetune_loss")
+
+    def test_objectives_call_through_the_trainer_namespace(self, monkeypatch):
+        calls = dict.fromkeys(self.HOOKS, 0)
+
+        def spy(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in self.HOOKS:
+            monkeypatch.setattr(trainer_module, name, spy(name, getattr(trainer_module, name)))
+        cfg = TrainConfig(max_epochs=1, batch_size=8)
+        unlabeled = synth_dataset("sine", T=24, F=1, n=8, seed=4)
+        labeled, _ = labeled_windows(n=8)
+        forecast = TaskSpec("forecast", horizon=4, input_len=20)
+        model, objective = tiny_setup(n=8)
+        train(model, objective, cfg)
+        for task, ds in ((forecast, unlabeled), (TaskSpec("impute"), unlabeled),
+                         (TaskSpec("classify", num_classes=3), labeled)):
+            model = tiny_task_model(task, T=20 if task.kind == "forecast" else 24)
+            train(model, FinetuneObjective(task, ds, ds, batch_size=8), cfg)
+        assert all(calls.values()), calls
