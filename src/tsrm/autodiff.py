@@ -3,9 +3,10 @@
 A :class:`Tensor` wraps an ndarray and, when an operation involves at least
 one gradient-requiring input, records a backward closure plus parent links.
 ``Tensor.backward()`` walks the (acyclic) graph in reverse topological order
-and accumulates gradients with ``+=`` so shared subgraphs receive summed
-contributions. An intermediate node's gradient is dropped as soon as its
-closure has run; only leaves (parameters and inputs) keep theirs.
+and sums the contributions each node receives, so shared subgraphs get
+their total; an intermediate node takes a fresh first contribution as its
+gradient without copying it. An intermediate node's gradient is dropped as
+soon as its closure has run; only leaves (parameters and inputs) keep theirs.
 
 Inside a :func:`no_grad` block no op records parents or a backward closure,
 so each intermediate array is freed as soon as Python drops it. The
@@ -130,9 +131,20 @@ class Tensor:
     # -- graph plumbing ------------------------------------------------------
 
     def _accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
+        if self.grad is not None:
+            # out of place: an owned gradient may be another node's as well
+            self.grad = np.add(self.grad, g, out=np.empty_like(self.grad))
+        elif (self._backward is not None and g.flags.owndata and g.flags.c_contiguous
+              and g.shape == self.data.shape and g.dtype == self.data.dtype
+              and self.data.flags.c_contiguous):
+            # a fresh array laid out as zeros_like would lay it out (numpy's
+            # reductions follow memory order): own it. Views are copied, as
+            # they hold their base alive; leaves too, as clip_grad_norm
+            # scales their gradients in place.
+            self.grad = g
+        else:
             self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad += g
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -285,21 +297,67 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), backward, "mul")
 
 
+def _fold_plan(a_shape: tuple, b_shape: tuple):
+    """When b is broadcast over leading axes that a holds in full, and those
+    axes sit next to a's row axis (size-1 axes aside): a's axis order with
+    the axes b holds ("kept") first, then the broadcast ones, then the
+    matrix axes; and the number of kept axes. In that order the broadcast
+    axes and the row axis of a C-ordered array fold into one without a
+    copy. None otherwise."""
+    n = len(a_shape) - 2
+    b_lead = (1,) * (n + 2 - len(b_shape)) + tuple(b_shape[:-2])
+    if len(b_lead) != n or any(nb not in (1, na) for na, nb in zip(a_shape, b_lead)):
+        return None
+    kept = [i for i in range(n) if b_lead[i] == a_shape[i]]
+    folded = [i for i in range(n + 1) if i not in kept and a_shape[i] != 1]
+    if len(kept) == n or any(a_shape[i] != 1 for i in range(folded[0], folded[-1])
+                             if i not in folded):
+        return None
+    return kept + [i for i in range(n) if i not in kept] + [n, n + 1], len(kept)
+
+
+def _fold_rows(x: np.ndarray, order: list, k: int) -> np.ndarray:
+    """x in ``order``, with every axis after the k kept ones folded into
+    the row axis: [*kept, rows, n]."""
+    x = x.transpose(order)
+    return x.reshape(x.shape[:k] + (-1, x.shape[-1]))
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matrix product with numpy broadcasting over leading dims."""
+    """Batched matrix product with numpy broadcasting over leading dims.
+
+    When b is broadcast over leading axes of a (a weight shared by the batch
+    rows), those axes are folded into a's row axis: b's gradient takes one
+    GEMM per kept index, where it would otherwise hold one outer product
+    per leading index and sum them; so does the product when a is C-ordered.
+    """
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ConfigError(f"matmul needs >=2-d operands, got {a.data.shape} @ {b.data.shape}")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ConfigError(f"matmul inner dimensions disagree: {a.data.shape} @ {b.data.shape}")
-    data = a.data @ b.data
+    plan = _fold_plan(a.data.shape, b.data.shape)
+    if plan is None or not a.data.flags.c_contiguous:
+        # folding any other layout of a copies it: at an evaluation batch
+        # that copy outweighs the product and raises the peak memory
+        data = a.data @ b.data
+    else:
+        a2 = _fold_rows(a.data, *plan)
+        data = np.empty(a.data.shape[:-1] + b.data.shape[-1:], np.result_type(a.data, b.data))
+        # written through the folded view, so it lands C-ordered in a's layout
+        np.matmul(a2, b.data.reshape(a2.shape[:-2] + b.data.shape[-2:]),
+                  out=_fold_rows(data, *plan))
 
     def backward(g):
         if a.requires_grad:
             ga = g @ np.swapaxes(b.data, -1, -2)
             a._accumulate(_unbroadcast(ga, a.data.shape))
         if b.requires_grad:
-            gb = np.swapaxes(a.data, -1, -2) @ g
-            b._accumulate(_unbroadcast(gb, b.data.shape))
+            if plan is None:
+                gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
+            else:
+                gb = (np.swapaxes(_fold_rows(a.data, *plan), -1, -2)
+                      @ _fold_rows(g, *plan)).reshape(b.data.shape)
+            b._accumulate(gb)
 
     return _make(data, (a, b), backward, "matmul")
 

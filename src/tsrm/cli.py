@@ -172,6 +172,11 @@ def cmd_pretrain(args) -> int:
         data_spec, args.train_csv, args.val_csv, data_spec.window)
     model_cfg = ModelConfig.from_dict({**raw.get("model", {}),
                                        "T": data_spec.window, "F": len(names)})
+    if model_cfg.num_classes != 1:
+        # checked before --out is written; pretrain_loss would only catch it
+        # in the first training step
+        raise ConfigError(f"pretraining scores validity with one logit: model.num_classes "
+                          f"must be 1, got {model_cfg.num_classes}")
     model = TsrmModel(model_cfg, seed=train_cfg.seed)
     objective = PretrainObjective(train_ds, val_ds,
                                   alpha=model_cfg.alpha, beta=model_cfg.beta,

@@ -167,8 +167,10 @@ def masked_mse_weights(mask: np.ndarray, sample_weight: np.ndarray) -> np.ndarra
 
 
 def pretrain_loss(trace: ForwardTrace, batch: PretrainBatch,
-                  alpha: float = 3.5, beta: float = 1.2, gamma: float = 5.0):
+                  alpha: float, beta: float, gamma: float):
     """Composite loss: (l_repr + l_imp * alpha) * beta + l_class * gamma.
+
+    The weights' defaults are ``ModelConfig``'s.
 
     l_repr is the MSE over observed-and-not-masked positions, l_imp over
     the masked (ground-truth-known) positions, l_class the binary

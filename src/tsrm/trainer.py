@@ -25,7 +25,7 @@ from .finetune import (
     build_impute_batch,
     finetune_loss,
 )
-from .model import TsrmModel, save_checkpoint
+from .model import ModelConfig, TsrmModel, save_checkpoint
 from .pretraining import PretrainBatch, build_pretrain_batch, pretrain_loss
 
 logger = logging.getLogger("tsrm.trainer")
@@ -116,7 +116,8 @@ class EarlyStopTracker:
         return self.stale >= self.patience
 
 
-def early_stop_check(history, rel: float = 0.01, patience: int = 5) -> bool:
+def early_stop_check(history, rel: float = TrainConfig.early_stop_rel,
+                     patience: int = TrainConfig.early_stop_patience) -> bool:
     """Replay a validation-loss history through the early stopping rule."""
     if len(history) == 0:
         raise ConfigError("early stop check needs a non-empty history")
@@ -131,8 +132,9 @@ class PlateauScheduler:
     """Halve (by `factor`) the learning rate after `patience` consecutive
     epochs without any strict improvement, never below min_lr."""
 
-    def __init__(self, lr: float, factor: float = 0.5, patience: int = 2,
-                 min_lr: float = 1e-6):
+    def __init__(self, lr: float, factor: float = TrainConfig.scheduler_factor,
+                 patience: int = TrainConfig.scheduler_patience,
+                 min_lr: float = TrainConfig.min_lr):
         self.lr = lr
         self.factor = factor
         self.patience = patience
@@ -215,7 +217,8 @@ class PretrainObjective(_WindowObjective):
     training batches re-draw masks and invalid-candidate substitutions."""
 
     def __init__(self, train_ds: WindowedDataset, val_ds: WindowedDataset,
-                 alpha: float = 3.5, beta: float = 1.2, gamma: float = 5.0,
+                 alpha: float = ModelConfig.alpha, beta: float = ModelConfig.beta,
+                 gamma: float = ModelConfig.gamma,
                  batch_size: int = 32, per_feature_masks: bool = False):
         self.alpha, self.beta, self.gamma = alpha, beta, gamma
         super().__init__(train_ds, val_ds, batch_size, per_feature_masks)
@@ -267,7 +270,11 @@ def train(model: TsrmModel, objective, cfg: TrainConfig,
     The model, batches, masks, dropout, and shuffling all draw from one
     generator seeded by cfg.seed, so identical configurations replay
     identically. A non-finite loss aborts with epoch/batch diagnostics.
+    The objective builds the batches, so its batch size must be cfg's.
     """
+    if getattr(objective, "batch_size", cfg.batch_size) != cfg.batch_size:
+        raise ConfigError(f"the objective batches {objective.batch_size} windows, "
+                          f"the training config asks for {cfg.batch_size}")
     rng = np.random.default_rng(cfg.seed)
     opt = Adam(model.parameters(), lr=cfg.initial_lr)
     stopper = EarlyStopTracker(cfg.early_stop_rel, cfg.early_stop_patience)

@@ -100,6 +100,8 @@ class TestUsageErrors:
         code = run(["pretrain", "--config", str(cfg_path),
                     "--train-csv", str(csv_path), "--out", str(tmp / "out")])
         assert code == 2
+        # rejected before anything is written
+        assert not (tmp / "out").exists() or not any((tmp / "out").iterdir())
 
 
 class TestPretrainCommand:

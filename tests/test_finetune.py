@@ -203,7 +203,8 @@ class TestFinetuneLoss:
         pre = PretrainBatch(model_input=batch.model_input, values=batch.values,
                             observed=observed, eval_mask=batch.mask,
                             validity=np.ones(3, dtype=np.float32))
-        _, bd = pretrain_loss(fake_trace(out), pre)
+        _, bd = pretrain_loss(fake_trace(out), pre,
+                              ModelConfig.alpha, ModelConfig.beta, ModelConfig.gamma)
         np.testing.assert_allclose(ft, bd.l_imp, rtol=1e-6)
 
     def test_classify_uniform_logits_give_log_c(self):

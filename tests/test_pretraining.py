@@ -5,7 +5,7 @@ import pytest
 
 from tsrm.autodiff import Tensor
 from tsrm.errors import ConfigError
-from tsrm.model import ForwardTrace
+from tsrm.model import ForwardTrace, ModelConfig
 from tsrm.pretraining import (
     LossBreakdown,
     PretrainBatch,
@@ -16,6 +16,9 @@ from tsrm.pretraining import (
     pretrain_loss,
     subset_length_bounds,
 )
+
+# the default loss weights (alpha, beta, gamma), which ModelConfig holds
+WEIGHTS = (ModelConfig.alpha, ModelConfig.beta, ModelConfig.gamma)
 
 
 def run_lengths(step_mask: np.ndarray) -> list:
@@ -218,26 +221,28 @@ class TestPretrainLoss:
     def test_invalid_sample_keeps_only_class_term(self):
         batch = self.batch(validity=0.0)
         trace = fabricated_trace(np.ones((1, 20, 1)) * 7.0, np.zeros((1, 1)))
-        loss, bd = pretrain_loss(trace, batch)
+        loss, bd = pretrain_loss(trace, batch, *WEIGHTS)
         np.testing.assert_allclose(bd.total, np.log(2) * 5.0, rtol=1e-5)
         assert bd.l_repr == 0.0 and bd.l_imp == 0.0
 
     def test_invalid_sample_ignores_reconstruction_entirely(self):
         batch = self.batch(validity=0.0)
-        a = pretrain_loss(fabricated_trace(np.zeros((1, 20, 1)), np.zeros((1, 1))), batch)[1]
-        b = pretrain_loss(fabricated_trace(np.full((1, 20, 1), 123.0), np.zeros((1, 1))), batch)[1]
+        a = pretrain_loss(fabricated_trace(np.zeros((1, 20, 1)), np.zeros((1, 1))),
+                          batch, *WEIGHTS)[1]
+        b = pretrain_loss(fabricated_trace(np.full((1, 20, 1), 123.0), np.zeros((1, 1))),
+                          batch, *WEIGHTS)[1]
         assert a.total == b.total
 
     def test_multi_class_logits_rejected(self):
         # one validity target per sample cannot score three logits
         trace = fabricated_trace(np.zeros((1, 20, 1)), np.zeros((1, 3)))
         with pytest.raises(ConfigError, match="num_classes must be 1"):
-            pretrain_loss(trace, self.batch())
+            pretrain_loss(trace, self.batch(), *WEIGHTS)
 
     def test_perfect_prediction_drives_loss_to_zero(self):
         batch = self.batch()
         trace = fabricated_trace(np.zeros((1, 20, 1)), np.full((1, 1), 30.0))
-        loss, bd = pretrain_loss(trace, batch)
+        loss, bd = pretrain_loss(trace, batch, *WEIGHTS)
         assert bd.total < 1e-6
 
     def test_empty_component_contributes_zero(self):
@@ -248,7 +253,7 @@ class TestPretrainLoss:
                               values, observed, eval_mask,
                               np.ones(1, dtype=np.float32))
         trace = fabricated_trace(np.ones((1, 20, 1)), np.zeros((1, 1)))
-        _, bd = pretrain_loss(trace, batch)
+        _, bd = pretrain_loss(trace, batch, *WEIGHTS)
         assert bd.l_imp == 0.0
         np.testing.assert_allclose(bd.l_repr, 1.0, rtol=1e-6)
 
@@ -259,6 +264,6 @@ class TestPretrainLoss:
                              class_logits=Tensor(np.zeros((1, 1), dtype=np.float64),
                                                  requires_grad=True),
                              attention=np.zeros((1, 1, 1, 4)))
-        loss, _ = pretrain_loss(trace, batch)
+        loss, _ = pretrain_loss(trace, batch, *WEIGHTS)
         loss.backward()
         assert out.grad is not None and np.abs(out.grad).sum() > 0

@@ -206,6 +206,13 @@ class TestTrainLoop:
         model, log = train(model, objective, cfg)
         assert len(log.epochs) <= 6
 
+    def test_objective_batch_size_must_be_the_configs(self):
+        # the objective builds the batches; a config asking for another size
+        # used to be ignored without a word
+        model, objective = tiny_setup()
+        with pytest.raises(ConfigError, match="objective batches 16 windows.*asks for 8"):
+            train(model, objective, TrainConfig(max_epochs=1, batch_size=8))
+
     def test_finetune_objective_forecast(self):
         cfg = ModelConfig(T=20, F=1, f_embed=4, n_layers=1, heads=2,
                           branches=[{"kernel": 3, "dilation": 1}], dropout_p=0.0)
@@ -283,7 +290,7 @@ class TestTracedHooks:
         labeled, _ = labeled_windows(n=8)
         forecast = TaskSpec("forecast", horizon=4, input_len=20)
         model, objective = tiny_setup(n=8)
-        train(model, objective, cfg)
+        train(model, objective, TrainConfig(max_epochs=1, batch_size=objective.batch_size))
         for task, ds in ((forecast, unlabeled), (TaskSpec("impute"), unlabeled),
                          (TaskSpec("classify", num_classes=3), labeled)):
             model = tiny_task_model(task, T=20 if task.kind == "forecast" else 24)
