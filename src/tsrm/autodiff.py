@@ -3,10 +3,9 @@
 A :class:`Tensor` wraps an ndarray and, when an operation involves at least
 one gradient-requiring input, records a backward closure plus parent links.
 ``Tensor.backward()`` walks the (acyclic) graph in reverse topological order
-and sums the contributions each node receives, so shared subgraphs get
-their total; an intermediate node takes a fresh first contribution as its
-gradient without copying it. An intermediate node's gradient is dropped as
-soon as its closure has run; only leaves (parameters and inputs) keep theirs.
+and accumulates gradients with ``+=`` so shared subgraphs receive summed
+contributions. An intermediate node's gradient is dropped as soon as its
+closure has run; only leaves (parameters and inputs) keep theirs.
 
 Inside a :func:`no_grad` block no op records parents or a backward closure,
 so each intermediate array is freed as soon as Python drops it. The
@@ -131,20 +130,9 @@ class Tensor:
     # -- graph plumbing ------------------------------------------------------
 
     def _accumulate(self, g: np.ndarray) -> None:
-        if self.grad is not None:
-            # out of place: an owned gradient may be another node's as well
-            self.grad = np.add(self.grad, g, out=np.empty_like(self.grad))
-        elif (self._backward is not None and g.flags.owndata and g.flags.c_contiguous
-              and g.shape == self.data.shape and g.dtype == self.data.dtype
-              and self.data.flags.c_contiguous):
-            # a fresh array laid out as zeros_like would lay it out (numpy's
-            # reductions follow memory order): own it. Views are copied, as
-            # they hold their base alive; leaves too, as clip_grad_norm
-            # scales their gradients in place.
-            self.grad = g
-        else:
+        if self.grad is None:
             self.grad = np.zeros_like(self.data)
-            self.grad += g
+        self.grad += g
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -327,31 +315,22 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Batched matrix product with numpy broadcasting over leading dims.
 
     When b is broadcast over leading axes of a (a weight shared by the batch
-    rows), those axes are folded into a's row axis: b's gradient takes one
-    GEMM per kept index, where it would otherwise hold one outer product
-    per leading index and sum them; so does the product when a is C-ordered.
+    rows), b's gradient folds those axes into a's row axis: one GEMM per
+    kept index, where it would otherwise hold one outer product per leading
+    index and sum them.
     """
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ConfigError(f"matmul needs >=2-d operands, got {a.data.shape} @ {b.data.shape}")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ConfigError(f"matmul inner dimensions disagree: {a.data.shape} @ {b.data.shape}")
-    plan = _fold_plan(a.data.shape, b.data.shape)
-    if plan is None or not a.data.flags.c_contiguous:
-        # folding any other layout of a copies it: at an evaluation batch
-        # that copy outweighs the product and raises the peak memory
-        data = a.data @ b.data
-    else:
-        a2 = _fold_rows(a.data, *plan)
-        data = np.empty(a.data.shape[:-1] + b.data.shape[-1:], np.result_type(a.data, b.data))
-        # written through the folded view, so it lands C-ordered in a's layout
-        np.matmul(a2, b.data.reshape(a2.shape[:-2] + b.data.shape[-2:]),
-                  out=_fold_rows(data, *plan))
+    data = a.data @ b.data
 
     def backward(g):
         if a.requires_grad:
             ga = g @ np.swapaxes(b.data, -1, -2)
             a._accumulate(_unbroadcast(ga, a.data.shape))
         if b.requires_grad:
+            plan = _fold_plan(a.data.shape, b.data.shape)
             if plan is None:
                 gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
             else:

@@ -132,9 +132,7 @@ class PlateauScheduler:
     """Halve (by `factor`) the learning rate after `patience` consecutive
     epochs without any strict improvement, never below min_lr."""
 
-    def __init__(self, lr: float, factor: float = TrainConfig.scheduler_factor,
-                 patience: int = TrainConfig.scheduler_patience,
-                 min_lr: float = TrainConfig.min_lr):
+    def __init__(self, lr: float, factor: float, patience: int, min_lr: float):
         self.lr = lr
         self.factor = factor
         self.patience = patience
@@ -272,7 +270,7 @@ def train(model: TsrmModel, objective, cfg: TrainConfig,
     identically. A non-finite loss aborts with epoch/batch diagnostics.
     The objective builds the batches, so its batch size must be cfg's.
     """
-    if getattr(objective, "batch_size", cfg.batch_size) != cfg.batch_size:
+    if objective.batch_size != cfg.batch_size:
         raise ConfigError(f"the objective batches {objective.batch_size} windows, "
                           f"the training config asks for {cfg.batch_size}")
     rng = np.random.default_rng(cfg.seed)

@@ -67,12 +67,12 @@ class TestEarlyStop:
 
 class TestPlateauScheduler:
     def test_improving_keeps_lr(self):
-        s = PlateauScheduler(1e-3)
+        s = PlateauScheduler(1e-3, factor=0.5, patience=2, min_lr=1e-6)
         for v in (3.0, 2.0, 1.0, 0.5):
             assert s.step(v) == 1e-3
 
     def test_flat_loss_halves_after_second_stale_epoch(self):
-        s = PlateauScheduler(1e-3, factor=0.5, patience=2)
+        s = PlateauScheduler(1e-3, factor=0.5, patience=2, min_lr=1e-6)
         assert s.step(1.0) == 1e-3   # first observation
         assert s.step(1.0) == 1e-3   # stale 1
         assert s.step(1.0) == 5e-4   # stale 2 -> reduce
@@ -183,6 +183,8 @@ class TestTrainLoop:
         model, _ = tiny_setup()
 
         class PoisonObjective:
+            batch_size = TrainConfig.batch_size
+
             def train_batches(self, rng):
                 class B:
                     model_input = np.zeros((2, 24, 1), dtype=np.float32)
