@@ -515,36 +515,58 @@ def conv_output_length(L: int, k: int, dilation: int, stride: int) -> int:
     return (L - k_eff) // stride + 1
 
 
+def _taps(k: int, d: int, s: int, n_long: int, n_short: int):
+    """The depthwise tap map: tap j of short position l is long position j*d + l*s.
+    Yields j, that tap's slice of the long axis and the count m >= 1 (k_eff <= n_long)
+    of leading short positions whose tap lies inside n_long."""
+    for j in range(k):
+        m = min(n_short, (n_long - 1 - j * d) // s + 1)
+        yield j, slice(j * d, j * d + (m - 1) * s + 1, s), m
+
+
+def _gather(long: np.ndarray, kernel: np.ndarray, d: int, s: int, n: int) -> np.ndarray:
+    """out[..., l] = sum_j long[..., j*d + l*s] * kernel[:, j] for l < n; zero past long."""
+    out = np.zeros(long.shape[:-1] + (n,), dtype=long.dtype)
+    for j, tap, m in _taps(kernel.shape[1], d, s, long.shape[-1], n):
+        out[..., :m] += long[..., tap] * kernel[:, j, None]
+    return out
+
+
+def _scatter(short: np.ndarray, kernel: np.ndarray, d: int, s: int, n: int) -> np.ndarray:
+    """The adjoint of _gather, onto a zero long axis of length n; taps past n drop."""
+    out = np.zeros(short.shape[:-1] + (n,), dtype=short.dtype)
+    for j, tap, m in _taps(kernel.shape[1], d, s, n, short.shape[-1]):
+        out[..., tap] += short[..., :m] * kernel[:, j, None]
+    return out
+
+
+def _kernel_grad(short: np.ndarray, long: np.ndarray, kernel: np.ndarray, d: int, s: int):
+    """Gradient of sum(short * _gather(long, kernel)) in kernel: [C, k]."""
+    gk = np.empty_like(kernel)
+    for j, tap, m in _taps(kernel.shape[1], d, s, long.shape[-1], short.shape[-1]):
+        gk[:, j] = (short[..., :m] * long[..., tap]).sum(axis=(0, 2))
+    return gk
+
+
 def conv1d_depthwise(x: Tensor, kernel: Tensor, bias: Optional[Tensor],
-                     dilation: int = 1, stride: int = 1) -> Tensor:
+                     dilation: int, stride: int) -> Tensor:
     """Depthwise valid 1-d convolution.
 
     x: [B, C, L], kernel: [C, k], bias: [C] or None -> [B, C, L_out].
     Channel c is convolved only with kernel row c.
     """
-    B, C, L = x.data.shape
-    Ck, k = kernel.data.shape
+    (_, C, L), (Ck, k) = x.data.shape, kernel.data.shape
     if Ck != C:
         raise ConfigError(f"depthwise kernel has {Ck} channels, input has {C}")
-    L_out = conv_output_length(L, k, dilation, stride)
-    span = (L_out - 1) * stride + 1
-    out = np.zeros((B, C, L_out), dtype=x.data.dtype)
-    for j in range(k):
-        out += x.data[:, :, j * dilation: j * dilation + span: stride] * kernel.data[:, j][None, :, None]
+    out = _gather(x.data, kernel.data, dilation, stride, conv_output_length(L, k, dilation, stride))
     if bias is not None:
         out += bias.data[None, :, None]
 
     def backward(g):
         if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            for j in range(k):
-                gx[:, :, j * dilation: j * dilation + span: stride] += g * kernel.data[:, j][None, :, None]
-            x._accumulate(gx)
+            x._accumulate(_scatter(g, kernel.data, dilation, stride, L))
         if kernel.requires_grad:
-            gk = np.empty_like(kernel.data)
-            for j in range(k):
-                gk[:, j] = (g * x.data[:, :, j * dilation: j * dilation + span: stride]).sum(axis=(0, 2))
-            kernel._accumulate(gk)
+            kernel._accumulate(_kernel_grad(g, x.data, kernel.data, dilation, stride))
         if bias is not None and bias.requires_grad:
             bias._accumulate(g.sum(axis=(0, 2)))
 
@@ -560,37 +582,19 @@ def conv1d_transpose_depthwise(x: Tensor, kernel: Tensor, dilation: int,
     output length (L_in-1)*stride + k_eff is right-cropped or right-zero-
     padded to target_len.
     """
-    B, C, L_in = x.data.shape
-    Ck, k = kernel.data.shape
+    (_, C, L_in), (Ck, k) = x.data.shape, kernel.data.shape
     if Ck != C:
         raise ConfigError(f"depthwise kernel has {Ck} channels, input has {C}")
     k_eff = (k - 1) * dilation + 1
     if target_len < k_eff:
         raise ConfigError(f"target length {target_len} shorter than effective kernel {k_eff}")
-    natural = (L_in - 1) * stride + k_eff
-    span = (L_in - 1) * stride + 1
-    full = np.zeros((B, C, natural), dtype=x.data.dtype)
-    for j in range(k):
-        full[:, :, j * dilation: j * dilation + span: stride] += x.data * kernel.data[:, j][None, :, None]
-    if natural >= target_len:
-        out = full[:, :, :target_len].copy()
-    else:
-        out = np.zeros((B, C, target_len), dtype=x.data.dtype)
-        out[:, :, :natural] = full
+    out = _scatter(x.data, kernel.data, dilation, stride, target_len)
 
     def backward(g):
-        gf = np.zeros((B, C, natural), dtype=g.dtype)
-        gf[:, :, :min(natural, target_len)] = g[:, :, :min(natural, target_len)]
         if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            for j in range(k):
-                gx += gf[:, :, j * dilation: j * dilation + span: stride] * kernel.data[:, j][None, :, None]
-            x._accumulate(gx)
+            x._accumulate(_gather(g, kernel.data, dilation, stride, L_in))
         if kernel.requires_grad:
-            gk = np.empty_like(kernel.data)
-            for j in range(k):
-                gk[:, j] = (gf[:, :, j * dilation: j * dilation + span: stride] * x.data).sum(axis=(0, 2))
-            kernel._accumulate(gk)
+            kernel._accumulate(_kernel_grad(x.data, g, kernel.data, dilation, stride))
 
     return _make(out, (x, kernel), backward, "conv1d_tdw")
 
@@ -633,50 +637,44 @@ def conv1d(x: Tensor, weight: Tensor, bias: Optional[Tensor], stride: int = 1) -
     return _make(out, parents, backward, "conv1d")
 
 
-def maxpool1d(x: Tensor, k: int, stride: int) -> Tensor:
-    """Max pooling over the last axis; gradient routed to the first argmax."""
-    B, C, L = x.data.shape
-    if k > L:
-        raise ConfigError(f"pool kernel {k} exceeds input length {L}")
-    L_out = (L - k) // stride + 1
-    starts = np.arange(L_out) * stride
-    idx = starts[:, None] + np.arange(k)[None, :]
-    windows = x.data[:, :, idx]                            # [B, C, L_out, k]
+def _max_over_windows(x: Tensor, idx: np.ndarray, op: str) -> Tensor:
+    """Max of x's last axis over each ascending row of idx [L_out, w]; the
+    gradient goes to each window's first argmax, summed where windows overlap."""
+    L_out = idx.shape[0]
+    windows = x.data[..., idx]                             # [..., L_out, w]
     arg = windows.argmax(axis=-1)                          # first max wins ties
     out = np.take_along_axis(windows, arg[..., None], axis=-1)[..., 0]
 
     def backward(g):
-        src = idx[np.arange(L_out)[None, None, :], arg]   # absolute argmax positions
-        gx = np.zeros_like(x.data)
-        b_i, c_i = np.meshgrid(np.arange(B), np.arange(C), indexing="ij")
-        np.add.at(gx, (b_i[..., None], c_i[..., None], src), g)
+        src = idx[np.arange(L_out), arg]                   # absolute argmax positions
+        gx = np.zeros(x.data.shape, dtype=x.data.dtype)
+        rows = np.arange(src.size // L_out)[:, None]
+        np.add.at(gx.reshape(-1, x.data.shape[-1]), (rows, src.reshape(-1, L_out)),
+                  g.reshape(-1, L_out))
         x._accumulate(gx)
 
-    return _make(out, (x,), backward, "maxpool1d")
+    return _make(out, (x,), backward, op)
+
+
+def maxpool1d(x: Tensor, k: int, stride: int) -> Tensor:
+    """Max pooling over the last axis; gradient routed to the first argmax."""
+    L = x.data.shape[-1]
+    if k > L:
+        raise ConfigError(f"pool kernel {k} exceeds input length {L}")
+    starts = np.arange((L - k) // stride + 1) * stride
+    return _max_over_windows(x, starts[:, None] + np.arange(k), "maxpool1d")
 
 
 def adaptive_maxpool1d(x: Tensor, out_len: int) -> Tensor:
     """Adaptive max pooling of the last axis of [..., L]: window i covers
-    [floor(i*L/out), ceil((i+1)*L/out)); gradient routed to the first argmax."""
+    [floor(i*L/out), ceil((i+1)*L/out)); gradient routed to the first argmax.
+    Shorter windows repeat their last position, which leaves it in place."""
     L = x.data.shape[-1]
-    out = np.empty(x.data.shape[:-1] + (out_len,), dtype=x.data.dtype)
-    arg = np.empty(out.shape, dtype=np.int64)
-    for i in range(out_len):
-        lo = (i * L) // out_len
-        hi = -(-((i + 1) * L) // out_len)
-        seg = x.data[..., lo:hi]
-        a = seg.argmax(axis=-1)
-        arg[..., i] = a + lo
-        out[..., i] = np.take_along_axis(seg, a[..., None], axis=-1)[..., 0]
-
-    def backward(g):
-        # windows overlap unless out_len divides L: accumulate, do not assign
-        gx = np.zeros(x.data.shape, dtype=x.data.dtype)
-        rows = np.arange(arg.size // out_len)[:, None]
-        np.add.at(gx.reshape(-1, L), (rows, arg.reshape(-1, out_len)), g.reshape(-1, out_len))
-        x._accumulate(gx)
-
-    return _make(out, (x,), backward, "adaptive_maxpool1d")
+    i = np.arange(out_len)
+    lo = (i * L) // out_len
+    hi = -(-((i + 1) * L) // out_len)
+    idx = np.minimum(lo[:, None] + np.arange((hi - lo).max()), hi[:, None] - 1)
+    return _max_over_windows(x, idx, "adaptive_maxpool1d")
 
 
 GROUP_NORM_EPS = 1e-5

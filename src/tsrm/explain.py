@@ -18,10 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, conv1d_transpose_depthwise, no_grad
+from .autodiff import _scatter, no_grad
 from .errors import ConfigError, DataError
-from .model import TsrmModel
-from .pretraining import MISSING_TOKEN
+from .model import MISSING_TOKEN, TsrmModel
 
 logger = logging.getLogger("tsrm.explain")
 
@@ -32,10 +31,8 @@ def _static_transpose(signal: np.ndarray, k: int, dilation: int, stride: int,
                       target_len: int) -> np.ndarray:
     """Run the branch's transposed conv with an all-ones kernel along the
     last axis; leading axes hold independent signals."""
-    x = Tensor(signal.reshape(-1, 1, signal.shape[-1]).astype(np.float64))
-    ones = Tensor(np.ones((1, k), dtype=np.float64))
-    out = conv1d_transpose_depthwise(x, ones, dilation, stride, target_len).data
-    return out.reshape(signal.shape[:-1] + (target_len,))
+    one_channel = signal[..., None, :].astype(np.float64)
+    return _scatter(one_channel, np.ones((1, k)), dilation, stride, target_len)[..., 0, :]
 
 
 def backmap_branch(weights: np.ndarray, rb, T: int, mode: str = "mean") -> np.ndarray:
@@ -102,7 +99,6 @@ def export_attention(model: TsrmModel, values: np.ndarray, observed: np.ndarray,
     filled = np.nan_to_num(values, nan=0.0).astype(np.float32)
     visible = observed.copy()
     if model.task == "forecast" and model.task_spec:
-        visible = visible.copy()
         visible[model.task_spec["input_len"]:] = False
     model_input = np.where(visible, filled, MISSING_TOKEN).astype(np.float32)
 

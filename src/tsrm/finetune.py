@@ -19,13 +19,8 @@ import numpy as np
 from .autodiff import Tensor, bce_with_logits, no_grad, softmax_cross_entropy
 from .data import WindowedDataset
 from .errors import ConfigError, DataError
-from .model import ForwardTrace, TsrmModel, rebuild_for_window
-from .pretraining import (
-    MISSING_TOKEN,
-    build_model_input,
-    generate_mask,
-    masked_mse_weights,
-)
+from .model import MISSING_TOKEN, ForwardTrace, TsrmModel, rebuild_for_window
+from .pretraining import build_model_input, generate_mask, masked_mse_weights
 
 logger = logging.getLogger("tsrm.finetune")
 

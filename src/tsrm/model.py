@@ -590,23 +590,29 @@ def load_checkpoint(directory) -> TsrmModel:
     if len(raw) % 4 != 0:
         raise CorruptCheckpointError("parameter blob length is not a multiple of 4 bytes")
     flat = np.frombuffer(raw, dtype="<f4")
-    total = 0
+    ranges = []
     for entry in manifest["params"]:
-        shape = tuple(entry["shape"])
+        shape, offset = tuple(entry["shape"]), entry["offset"]
         size = int(np.prod(shape)) if shape else 1
         if size != entry["length"]:
             raise CorruptCheckpointError(
                 f"parameter {entry['name']}: shape {shape} disagrees with length {entry['length']}")
-        if entry["offset"] + size > n_floats:
+        if type(offset) is not int or not 0 <= offset <= n_floats - size:
             raise CorruptCheckpointError(
-                f"parameter {entry['name']} extends past the end of params.bin")
-        data = flat[entry["offset"]: entry["offset"] + size].reshape(shape)
+                f"parameter {entry['name']}: offset {offset!r} does not place it inside params.bin")
+        ranges.append((offset, offset + size))
+        data = flat[offset: offset + size].reshape(shape)
         model.params[entry["name"]] = Parameter(
             entry["name"], Tensor(data.astype(np.float32), requires_grad=True))
-        total += size
-    if total != n_floats:
+    covered = 0
+    for lo, hi in sorted(ranges):  # the ranges must tile params.bin, each float read once
+        if lo != covered:
+            raise CorruptCheckpointError(f"params.bin float {min(lo, covered)} is read by "
+                                         + ("two parameters" if lo < covered else "none"))
+        covered = hi
+    if covered != n_floats:
         raise CorruptCheckpointError(
-            f"params.bin holds {n_floats} floats but the manifest covers {total}")
+            f"params.bin holds {n_floats} floats but the manifest covers {covered}")
 
     # cross-check restored shapes against the ones the config implies
     expected = {name: shape for name, shape, _ in parameter_table(config)}

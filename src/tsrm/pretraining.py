@@ -170,7 +170,7 @@ def pretrain_loss(trace: ForwardTrace, batch: PretrainBatch,
                   alpha: float, beta: float, gamma: float):
     """Composite loss: (l_repr + l_imp * alpha) * beta + l_class * gamma.
 
-    The weights' defaults are ``ModelConfig``'s.
+    The caller passes the weights; ``PretrainObjective`` defaults to ``ModelConfig``'s.
 
     l_repr is the MSE over observed-and-not-masked positions, l_imp over
     the masked (ground-truth-known) positions, l_class the binary

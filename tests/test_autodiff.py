@@ -282,6 +282,236 @@ class TestMaxPool:
                 check_gradients(lambda: (adaptive_maxpool1d(x, 8) * Tensor(w)).sum(), [x])
 
 
+# ---------------------------------------------------------------------------
+# Reference implementations: the depthwise convs as four separate tap loops and
+# the two pools each on its own. The shared tap map and window-max core must
+# reproduce them bit for bit.
+# ---------------------------------------------------------------------------
+
+def oracle_conv_dw(x, w, d, s):
+    B, C, L = x.shape
+    k = w.shape[1]
+    L_out = (L - ((k - 1) * d + 1)) // s + 1
+    span = (L_out - 1) * s + 1
+    out = np.zeros((B, C, L_out), dtype=x.dtype)
+    for j in range(k):
+        out += x[:, :, j * d: j * d + span: s] * w[:, j][None, :, None]
+    return out
+
+
+def oracle_conv_dw_backward(x, w, g, d, s):
+    k = w.shape[1]
+    span = (g.shape[-1] - 1) * s + 1
+    gx = np.zeros_like(x)
+    for j in range(k):
+        gx[:, :, j * d: j * d + span: s] += g * w[:, j][None, :, None]
+    gk = np.empty_like(w)
+    for j in range(k):
+        gk[:, j] = (g * x[:, :, j * d: j * d + span: s]).sum(axis=(0, 2))
+    return gx, gk
+
+
+def oracle_tconv_dw(x, w, d, s, target):
+    B, C, L_in = x.shape
+    k = w.shape[1]
+    natural = (L_in - 1) * s + (k - 1) * d + 1
+    span = (L_in - 1) * s + 1
+    full = np.zeros((B, C, natural), dtype=x.dtype)
+    for j in range(k):
+        full[:, :, j * d: j * d + span: s] += x * w[:, j][None, :, None]
+    if natural >= target:
+        return full[:, :, :target].copy()
+    out = np.zeros((B, C, target), dtype=x.dtype)
+    out[:, :, :natural] = full
+    return out
+
+
+def oracle_tconv_dw_backward(x, w, g, d, s, target):
+    B, C, L_in = x.shape
+    k = w.shape[1]
+    natural = (L_in - 1) * s + (k - 1) * d + 1
+    span = (L_in - 1) * s + 1
+    gf = np.zeros((B, C, natural), dtype=g.dtype)
+    gf[:, :, :min(natural, target)] = g[:, :, :min(natural, target)]
+    gx = np.zeros_like(x)
+    for j in range(k):
+        gx += gf[:, :, j * d: j * d + span: s] * w[:, j][None, :, None]
+    gk = np.empty_like(w)
+    for j in range(k):
+        gk[:, j] = (gf[:, :, j * d: j * d + span: s] * x).sum(axis=(0, 2))
+    return gx, gk
+
+
+def oracle_maxpool(x, k, stride, g):
+    B, C, L = x.shape
+    L_out = (L - k) // stride + 1
+    idx = (np.arange(L_out) * stride)[:, None] + np.arange(k)[None, :]
+    windows = x[:, :, idx]
+    arg = windows.argmax(axis=-1)
+    out = np.take_along_axis(windows, arg[..., None], axis=-1)[..., 0]
+    src = idx[np.arange(L_out)[None, None, :], arg]
+    gx = np.zeros_like(x)
+    b_i, c_i = np.meshgrid(np.arange(B), np.arange(C), indexing="ij")
+    np.add.at(gx, (b_i[..., None], c_i[..., None], src), g)
+    return out, gx
+
+
+def oracle_adaptive_maxpool(x, out_len, g):
+    L = x.shape[-1]
+    out = np.empty(x.shape[:-1] + (out_len,), dtype=x.dtype)
+    arg = np.empty(out.shape, dtype=np.int64)
+    for i in range(out_len):
+        lo = (i * L) // out_len
+        hi = -(-((i + 1) * L) // out_len)
+        seg = x[..., lo:hi]
+        a = seg.argmax(axis=-1)
+        arg[..., i] = a + lo
+        out[..., i] = np.take_along_axis(seg, a[..., None], axis=-1)[..., 0]
+    gx = np.zeros(x.shape, dtype=x.dtype)
+    rows = np.arange(arg.size // out_len)[:, None]
+    np.add.at(gx.reshape(-1, L), (rows, arg.reshape(-1, out_len)), g.reshape(-1, out_len))
+    return out, gx
+
+
+def assert_bitwise(actual, expected):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert np.ascontiguousarray(actual).tobytes() == np.ascontiguousarray(expected).tobytes()
+
+
+def accumulated(g):
+    """A first gradient as a leaf holds it: added into zeros."""
+    return np.zeros_like(g) + g
+
+
+def model_layout(rng, B, C, L, ties=False):
+    """float32 [B, C, L] as the model passes it: a transposed view of [B, L, C].
+    With ties, values repeat so that windows hold several equal maxima."""
+    raw = rng.integers(-3, 4, (B, L, C)) if ties else rng.standard_normal((B, L, C))
+    return raw.astype(np.float32).transpose(0, 2, 1)
+
+
+TAP_GRID = [(L, k, d, s) for L in (7, 12, 25) for k in (1, 2, 3, 5)
+            for d in (1, 2, 3) for s in (1, 2, 3, 5) if (k - 1) * d + 1 <= L]
+
+
+def _transpose_cases():
+    """A conv's output length as input, fitted back to a target that pads the
+    natural length (L_in-1)*s + k_eff, equals it, or crops it."""
+    for L, k, d, s in TAP_GRID:
+        k_eff = (k - 1) * d + 1
+        L_in = (L - k_eff) // s + 1
+        natural = (L_in - 1) * s + k_eff
+        for fit, target in (("pad", natural + 3), ("exact", natural), ("crop", natural - 2)):
+            if target >= k_eff:
+                yield L_in, k, d, s, target, fit
+
+
+TRANSPOSE_GRID = list(_transpose_cases())
+
+
+class TestTapMapOracle:
+    @pytest.mark.parametrize("L,k,d,s", TAP_GRID)
+    def test_conv_matches_separate_loops(self, L, k, d, s):
+        rng = np.random.default_rng(L * 1000 + k * 100 + d * 10 + s)
+        x = model_layout(rng, 2, 3, L)
+        w = rng.standard_normal((3, k)).astype(np.float32)
+        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        out = conv1d_depthwise(xt, wt, None, d, s)
+        assert_bitwise(out.data, oracle_conv_dw(x, w, d, s))
+        g = rng.standard_normal(out.shape).astype(np.float32)
+        out.backward(g)
+        gx, gk = oracle_conv_dw_backward(x, w, g, d, s)
+        assert_bitwise(xt.grad, accumulated(gx))
+        assert_bitwise(wt.grad, accumulated(gk))
+
+    @pytest.mark.parametrize("L_in,k,d,s,target,fit", TRANSPOSE_GRID)
+    def test_transpose_matches_separate_loops(self, L_in, k, d, s, target, fit):
+        rng = np.random.default_rng(L_in * 1000 + k * 100 + d * 10 + s)
+        x = model_layout(rng, 2, 3, L_in)
+        w = rng.standard_normal((3, k)).astype(np.float32)
+        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        out = conv1d_transpose_depthwise(xt, wt, d, s, target)
+        assert_bitwise(out.data, oracle_tconv_dw(x, w, d, s, target))
+        g = rng.standard_normal(out.shape).astype(np.float32)
+        out.backward(g)
+        gx, gk = oracle_tconv_dw_backward(x, w, g, d, s, target)
+        assert_bitwise(xt.grad, accumulated(gx))
+        if fit == "crop":
+            # the oracle also sums the exact-zero products of the cropped taps,
+            # which regroups its float32 sum; the error is relative to the sum
+            # of the products' magnitudes, as cancellation can leave a tiny sum
+            magnitude = oracle_tconv_dw_backward(np.abs(x), w, np.abs(g), d, s, target)[1]
+            assert np.all(np.abs(wt.grad - gk) <= 1e-6 * magnitude)
+        else:
+            assert_bitwise(wt.grad, accumulated(gk))
+
+    @pytest.mark.parametrize("L_in,k,d,s,target,fit", TRANSPOSE_GRID[::16])
+    def test_signed_zeros_match(self, L_in, k, d, s, target, fit):
+        # integer inputs and kernels holding +0 and -0 give exact zero products
+        # of both signs, which a different tap order or start value would show
+        rng = np.random.default_rng(L_in + k + d + s)
+        x = model_layout(rng, 2, 3, L_in, ties=True)
+        w = rng.integers(-1, 2, (3, k)).astype(np.float32)
+        w[0, 0] = -0.0
+        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        out = conv1d_transpose_depthwise(xt, wt, d, s, target)
+        assert_bitwise(out.data, oracle_tconv_dw(x, w, d, s, target))
+        back = conv1d_depthwise(out, wt, None, d, s)
+        assert_bitwise(back.data, oracle_conv_dw(out.data, w, d, s))
+        g = rng.integers(-1, 2, back.shape).astype(np.float32)
+        back.backward(g)
+        gy, gk = oracle_conv_dw_backward(out.data, w, g, d, s)
+        gx, gk2 = oracle_tconv_dw_backward(x, w, accumulated(gy), d, s, target)
+        assert_bitwise(xt.grad, accumulated(gx))
+        if fit != "crop":
+            assert_bitwise(wt.grad, accumulated(gk) + gk2)
+
+    def test_transpose_forward_allocates_little_beyond_its_output(self):
+        # the second branch of the 7-feature benchmark model at its eval batch
+        # of 64: k=19, dilation 2, stride 9, 18 conv positions restored to 192
+        # steps
+        rng = np.random.default_rng(14)
+        x = Tensor(model_layout(rng, 64, 112, 18))
+        w = Tensor(rng.standard_normal((112, 19)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            out = conv1d_transpose_depthwise(x, w, 2, 9, 192)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * out.data.nbytes, f"peak {peak / out.data.nbytes:.2f}x the output"
+
+
+class TestPoolOracle:
+    @pytest.mark.parametrize("ties", [False, True])
+    @pytest.mark.parametrize("L,k,stride", [(6, 2, 2), (9, 2, 2), (15, 3, 2), (16, 4, 1),
+                                            (7, 7, 1), (10, 3, 3)])
+    def test_maxpool_matches_its_own_loop(self, L, k, stride, ties):
+        rng = np.random.default_rng(L * 100 + k * 10 + stride)
+        x = model_layout(rng, 2, 3, L, ties)
+        xt = Tensor(x, requires_grad=True)
+        out = maxpool1d(xt, k, stride)
+        g = rng.standard_normal(out.shape).astype(np.float32)
+        want, gx = oracle_maxpool(x, k, stride, g)
+        assert_bitwise(out.data, want)
+        out.backward(g)
+        assert_bitwise(xt.grad, accumulated(gx))
+
+    @pytest.mark.parametrize("ties", [False, True])
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    @pytest.mark.parametrize("L", [5, 8, 13, 19, 24, 61])
+    def test_adaptive_matches_per_window_loop(self, L, lead, ties):
+        rng = np.random.default_rng(L * 10 + len(lead) + 2 * ties)
+        x = model_layout(rng, int(np.prod(lead)) * 2, 3, L, ties).reshape(lead + (2, 3, L))
+        xt = Tensor(x, requires_grad=True)
+        out = adaptive_maxpool1d(xt, 8)
+        g = rng.standard_normal(out.shape).astype(np.float32)
+        want, gx = oracle_adaptive_maxpool(x, 8, g)
+        assert_bitwise(out.data, want)
+        out.backward(g)
+        assert_bitwise(xt.grad, accumulated(gx))
+
+
 class TestGroupNorm:
     def test_constant_input_gives_zeros(self):
         x = Tensor(np.full((2, 5, 6), 3.0))

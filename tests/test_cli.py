@@ -221,6 +221,21 @@ class TestFinetuneAndEval:
         assert capsys.readouterr().out == ""
         assert "(b, t, f) = (1, 3, 0) is 7.0" in caplog.text
 
+    def test_checkpoint_offset_outside_blob_exits_with_runtime_code(self, tmp_path, capsys,
+                                                                    caplog):
+        from tsrm.model import ModelConfig, TsrmModel, save_checkpoint
+        cfg = ModelConfig(T=24, F=1, f_embed=4, n_layers=1, heads=2,
+                          branches=[{"kernel": 3, "dilation": 1}], dropout_p=0.0)
+        save_checkpoint(TsrmModel(cfg, seed=0), tmp_path / "m")
+        manifest = json.loads((tmp_path / "m" / "manifest.json").read_text())
+        manifest["params"][1]["offset"] = -8
+        (tmp_path / "m" / "manifest.json").write_text(json.dumps(manifest))
+        csv_path = write_sine_csv(tmp_path / "series.csv", n_rows=96)
+        code = run(["eval", "--model", str(tmp_path / "m"), "--test-csv", str(csv_path)])
+        assert code == 1
+        assert capsys.readouterr().out == ""
+        assert "offset -8 does not place it inside params.bin" in caplog.text
+
     @pytest.mark.parametrize("command", ["eval", "explain", "finetune"])
     @pytest.mark.parametrize("n_cols", [1, 2])
     def test_csv_with_other_column_count_than_stats_exits_with_data_error_code(

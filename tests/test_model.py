@@ -607,6 +607,45 @@ class TestCheckpointing:
         with pytest.raises(CorruptCheckpointError):
             load_checkpoint(tmp_path / "ckpt")
 
+    @staticmethod
+    def _saved_entries(tmp_path, seed):
+        import json
+        save_checkpoint(TsrmModel(small_config(), seed=seed), tmp_path / "ckpt")
+        manifest = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
+        return manifest, {e["name"]: e for e in manifest["params"]}
+
+    @staticmethod
+    def _write_manifest(tmp_path, manifest):
+        import json
+        (tmp_path / "ckpt" / "manifest.json").write_text(json.dumps(manifest))
+
+    def test_offset_reading_another_parameter_rejected(self, tmp_path):
+        # same length, so the float count still adds up; embed.w's floats are read twice
+        manifest, entries = self._saved_entries(tmp_path, seed=39)
+        assert entries["embed.b"]["length"] == entries["embed.w"]["length"]
+        entries["embed.b"]["offset"] = entries["embed.w"]["offset"]
+        self._write_manifest(tmp_path, manifest)
+        with pytest.raises(CorruptCheckpointError, match="read by two parameters"):
+            load_checkpoint(tmp_path / "ckpt")
+
+    @pytest.mark.parametrize("offset", [-8, 2.0, "0", True, 10 ** 9])
+    def test_offset_outside_params_bin_rejected(self, tmp_path, offset):
+        manifest, entries = self._saved_entries(tmp_path, seed=40)
+        entries["embed.b"]["offset"] = offset
+        self._write_manifest(tmp_path, manifest)
+        with pytest.raises(CorruptCheckpointError, match="does not place it inside"):
+            load_checkpoint(tmp_path / "ckpt")
+
+    def test_manifest_in_reverse_order_loads(self, tmp_path):
+        # the ranges need not be listed in blob order, only tile it
+        manifest, _ = self._saved_entries(tmp_path, seed=41)
+        manifest["params"].reverse()
+        self._write_manifest(tmp_path, manifest)
+        restored = load_checkpoint(tmp_path / "ckpt")
+        model = TsrmModel(small_config(), seed=41)
+        for name, p in model.params.items():
+            np.testing.assert_array_equal(restored.params[name].data, p.data)
+
 
 class TestRebuild:
     def test_absolute_kernels_share_all_tensors(self, monkeypatch):
