@@ -31,7 +31,7 @@ from .data import (
     split_series,
     window,
 )
-from .errors import ConfigError, DataError, NumericsError, TsrmError
+from .errors import ConfigError, CorruptCheckpointError, DataError, NumericsError, TsrmError
 from .explain import export_attention
 from .finetune import TaskSpec, evaluate_task, prepare_finetune
 from .model import ModelConfig, TsrmModel, load_checkpoint
@@ -67,9 +67,14 @@ def load_run_config(path) -> dict:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"config file {path} is not valid JSON: {e}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config file {path} does not hold a JSON object")
     unknown = set(raw) - CONFIG_SECTIONS
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
+    for name, section in raw.items():
+        if not isinstance(section, dict):
+            raise ConfigError(f"config section {name!r} is not a JSON object")
     return raw
 
 
@@ -156,9 +161,18 @@ def _stats_path(model_dir) -> Path:
 
 def _load_stats(model_dir) -> NormStats | None:
     path = _stats_path(model_dir)
-    if path.exists():
-        return NormStats.from_dict(json.loads(path.read_text()))
-    return None
+    if not path.exists():
+        return None
+    try:
+        stats = NormStats.from_dict(json.loads(path.read_text()))
+    except (KeyError, TypeError, ValueError, OverflowError) as e:  # JSONDecodeError is a ValueError
+        raise CorruptCheckpointError(f"{path} is malformed: {e!r}") from None
+    mins, maxs = stats.mins, stats.maxs
+    if mins.ndim != 1 or mins.shape != maxs.shape or not np.all(
+            np.isfinite(mins) & np.isfinite(maxs) & (maxs > mins)):
+        raise CorruptCheckpointError(f"{path} does not hold one finite min < max pair "
+                                     f"per feature: mins {mins}, maxs {maxs}")
+    return stats
 
 
 def cmd_pretrain(args) -> int:

@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from .config import Section
 from .errors import ConfigError, DataError
 
 logger = logging.getLogger("tsrm.data")
@@ -26,14 +27,15 @@ MAX_MISSING_FRACTION = 0.8
 
 
 @dataclass
-class DatasetSpec:
+class DatasetSpec(Section):
     """Which columns to read and how to slice them; the CSV files come from
     the command line."""
 
-    feature_columns: Optional[list] = None
+    _label = "data config"
+    feature_columns: Optional[list[str]] = None
     window: int = 96
     stride: int = 96
-    split_fractions: tuple = (0.6, 0.2, 0.2)
+    split_fractions: tuple[float, ...] = (0.6, 0.2, 0.2)
     mask_per_feature: bool = False
     label_column: Optional[str] = None
 
@@ -44,23 +46,6 @@ class DatasetSpec:
         if len(fr) != 3 or any(f < 0 for f in fr) or abs(sum(fr) - 1.0) > 1e-9:
             raise ConfigError(f"split fractions must be three nonnegatives summing to 1, got {fr}")
         self.split_fractions = fr
-
-    def to_dict(self) -> dict:
-        return {
-            "feature_columns": self.feature_columns,
-            "window": self.window, "stride": self.stride,
-            "split_fractions": list(self.split_fractions),
-            "mask_per_feature": self.mask_per_feature,
-            "label_column": self.label_column,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "DatasetSpec":
-        known = {f.name for f in DatasetSpec.__dataclass_fields__.values()}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown data config keys: {sorted(unknown)}")
-        return DatasetSpec(**d)
 
 
 @dataclass

@@ -17,6 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .autodiff import Tensor, bce_with_logits, no_grad, softmax_cross_entropy
+from .config import Section
 from .data import WindowedDataset
 from .errors import ConfigError, DataError
 from .model import MISSING_TOKEN, ForwardTrace, TsrmModel, rebuild_for_window
@@ -36,9 +37,10 @@ _SEQUENCE_PREFIXES = ("embed.", "el", "deembed.")
 
 
 @dataclass
-class TaskSpec:
+class TaskSpec(Section):
     """A fine-tuning task and its derived freezing rule."""
 
+    _label = "task config"
     kind: str
     horizon: Optional[int] = None
     num_classes: Optional[int] = None
@@ -57,23 +59,13 @@ class TaskSpec:
                 raise ConfigError("classification needs num_classes >= 1")
         elif self.num_classes is not None:
             raise ConfigError(f"num_classes is only meaningful for classification, not {self.kind}")
+        if self.input_len < 1:
+            raise ConfigError(f"input_len must be positive, got {self.input_len}")
 
     def frozen_predicate(self):
         if self.kind in ("forecast", "impute"):
             return lambda name: name.startswith(_AC_PREFIX)
         return lambda name: name.startswith(_SEQUENCE_PREFIXES)
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "horizon": self.horizon,
-                "num_classes": self.num_classes, "input_len": self.input_len}
-
-    @staticmethod
-    def from_dict(d: dict) -> "TaskSpec":
-        known = {f.name for f in TaskSpec.__dataclass_fields__.values()}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown task config keys: {sorted(unknown)}")
-        return TaskSpec(**d)
 
 
 def prepare_finetune(model: TsrmModel, task: TaskSpec, seed: int = 0) -> TsrmModel:

@@ -13,6 +13,7 @@ parameter count depends only on the hyperparameters, never on the data or
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -46,6 +47,7 @@ from .errors import (
     ShapeMismatchError,
     UnsupportedVersionError,
 )
+from .config import Section
 
 CHECKPOINT_VERSION = 1
 
@@ -69,7 +71,7 @@ AC_MIN_D = 11
 
 
 @dataclass
-class BranchSpec:
+class BranchSpec(Section):
     """One representation-stage branch: a depthwise conv plus max pooling.
 
     The kernel is either absolute (``kernel``) or a percentage of the window
@@ -77,6 +79,7 @@ class BranchSpec:
     time). The stride defaults to half the kernel size, floored, min 1.
     """
 
+    _label = "branch"
     kernel: Optional[int] = None
     kernel_pct: Optional[float] = None
     dilation: int = 1
@@ -87,8 +90,12 @@ class BranchSpec:
             raise ConfigError("branch needs exactly one of kernel / kernel_pct")
         if self.kernel is not None and self.kernel < 1:
             raise ConfigError(f"branch kernel must be >= 1, got {self.kernel}")
+        if self.kernel_pct is not None and not 0 < self.kernel_pct <= 100:
+            raise ConfigError(f"branch kernel_pct must lie in (0, 100], got {self.kernel_pct}")
         if self.dilation < 1:
             raise ConfigError(f"branch dilation must be >= 1, got {self.dilation}")
+        if self.stride is not None and self.stride < 1:
+            raise ConfigError(f"branch stride must be >= 1, got {self.stride}")
 
     def resolve(self, T: int) -> "ResolvedBranch":
         k = self.kernel if self.kernel is not None else max(1, round(self.kernel_pct / 100.0 * T))
@@ -105,22 +112,7 @@ class BranchSpec:
                               conv_len=conv_len, pool_k=pool_k, pool_len=pool_len)
 
     def to_dict(self) -> dict:
-        out = {"dilation": self.dilation}
-        if self.kernel is not None:
-            out["kernel"] = self.kernel
-        else:
-            out["kernel_pct"] = self.kernel_pct
-        if self.stride is not None:
-            out["stride"] = self.stride
-        return out
-
-    @staticmethod
-    def from_dict(d: dict) -> "BranchSpec":
-        known = {"kernel", "kernel_pct", "dilation", "stride"}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown branch keys: {sorted(unknown)}")
-        return BranchSpec(**d)
+        return {k: v for k, v in super().to_dict().items() if v is not None}
 
 
 @dataclass(frozen=True)
@@ -135,15 +127,16 @@ class ResolvedBranch:
 
 
 @dataclass
-class ModelConfig:
+class ModelConfig(Section):
     """All hyperparameters of one model instance."""
 
+    _label = "model config"
     T: int
     F: int
     f_embed: int
     n_layers: int
     heads: int
-    branches: list
+    branches: list[BranchSpec]
     attention: str = "vanilla"
     probsparse_factor: float = 5.0
     dropout_p: float = 0.1
@@ -159,6 +152,8 @@ class ModelConfig:
             raise ConfigError("need at least one encoding layer")
         if not self.branches:
             raise ConfigError("need at least one representation branch")
+        if self.f_embed < 1 or self.heads < 1:
+            raise ConfigError(f"f_embed and heads must be positive, got {self.f_embed}, {self.heads}")
         if self.f_embed % self.heads != 0:
             raise ConfigError(f"f_embed={self.f_embed} not divisible by heads={self.heads}")
         if not 0.0 <= self.dropout_p < 1.0:
@@ -190,29 +185,16 @@ class ModelConfig:
     def attention_kind(self) -> attn.AttentionKind:
         return attn.AttentionKind(self.attention, self.probsparse_factor)
 
-    def to_dict(self) -> dict:
-        return {
-            "T": self.T, "F": self.F, "f_embed": self.f_embed,
-            "n_layers": self.n_layers, "heads": self.heads,
-            "branches": [b.to_dict() for b in self.branches],
-            "attention": self.attention, "probsparse_factor": self.probsparse_factor,
-            "dropout_p": self.dropout_p, "alpha": self.alpha, "beta": self.beta,
-            "gamma": self.gamma, "num_classes": self.num_classes,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "ModelConfig":
+    @classmethod
+    def from_dict(cls, d) -> "ModelConfig":
         # older format-v1 manifests carry the retired reduce axis; summing
         # over keys gave constant ones, so only "queries" is accepted
-        d = dict(d)
-        axis = d.pop("attention_reduce_axis", "queries")
-        if axis != "queries":
-            raise ConfigError(f"unknown attention reduce axis {axis!r}")
-        known = {f.name for f in ModelConfig.__dataclass_fields__.values()}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
-        return ModelConfig(**d)
+        if isinstance(d, dict):
+            d = dict(d)
+            axis = d.pop("attention_reduce_axis", "queries")
+            if axis != "queries":
+                raise ConfigError(f"unknown attention reduce axis {axis!r}")
+        return super().from_dict(d)
 
 
 def parameter_count_formula(cfg: ModelConfig) -> int:
@@ -574,6 +556,8 @@ def load_checkpoint(directory) -> TsrmModel:
         manifest = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as e:
         raise CorruptCheckpointError(f"manifest is not valid JSON: {e}") from e
+    if not isinstance(manifest, dict):
+        raise CorruptCheckpointError("manifest is not a JSON object")
     version = manifest.get("format_version")
     if version != CHECKPOINT_VERSION:
         raise UnsupportedVersionError(f"unknown checkpoint format version {version!r}")
@@ -591,19 +575,17 @@ def load_checkpoint(directory) -> TsrmModel:
         raise CorruptCheckpointError("parameter blob length is not a multiple of 4 bytes")
     flat = np.frombuffer(raw, dtype="<f4")
     ranges = []
-    for entry in manifest["params"]:
-        shape, offset = tuple(entry["shape"]), entry["offset"]
-        size = int(np.prod(shape)) if shape else 1
-        if size != entry["length"]:
+    for name, shape, offset, length in _param_entries(manifest["params"]):
+        size = math.prod(shape)
+        if size != length:
             raise CorruptCheckpointError(
-                f"parameter {entry['name']}: shape {shape} disagrees with length {entry['length']}")
+                f"parameter {name}: shape {shape} disagrees with length {length}")
         if type(offset) is not int or not 0 <= offset <= n_floats - size:
             raise CorruptCheckpointError(
-                f"parameter {entry['name']}: offset {offset!r} does not place it inside params.bin")
+                f"parameter {name}: offset {offset!r} does not place it inside params.bin")
         ranges.append((offset, offset + size))
         data = flat[offset: offset + size].reshape(shape)
-        model.params[entry["name"]] = Parameter(
-            entry["name"], Tensor(data.astype(np.float32), requires_grad=True))
+        model.params[name] = Parameter(name, Tensor(data.astype(np.float32), requires_grad=True))
     covered = 0
     for lo, hi in sorted(ranges):  # the ranges must tile params.bin, each float read once
         if lo != covered:
@@ -624,6 +606,19 @@ def load_checkpoint(directory) -> TsrmModel:
                 f"parameter {name}: config implies shape {shape}, "
                 f"manifest stored {model.params[name].data.shape}")
     return model
+
+
+def _param_entries(params) -> list:
+    """(name, shape, offset, length) of each manifest parameter entry; the
+    offset and length are checked against params.bin by the caller."""
+    if not isinstance(params, list):
+        raise CorruptCheckpointError(f"manifest 'params' is not a list: {params!r}")
+    for e in params:
+        if not (isinstance(e, dict) and {"name", "shape", "offset", "length"} <= set(e)
+                and isinstance(e["name"], str) and isinstance(e["shape"], list)
+                and all(type(n) is int and n >= 0 for n in e["shape"])):
+            raise CorruptCheckpointError(f"malformed parameter entry {e!r}")
+    return [(e["name"], tuple(e["shape"]), e["offset"], e["length"]) for e in params]
 
 
 def rebuild_for_window(model: TsrmModel, new_T: int):

@@ -15,6 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .autodiff import Adam, clip_grad_norm, no_grad
+from .config import Section
 from .data import WindowedDataset
 from .errors import ConfigError, NumericsError
 from .finetune import (
@@ -32,7 +33,14 @@ logger = logging.getLogger("tsrm.trainer")
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(Section):
+    _label = "train config"
+    _nested = {"early_stop_rel": ("early_stop", "rel_improvement"),
+               "early_stop_patience": ("early_stop", "patience"),
+               "scheduler_factor": ("scheduler", "factor"),
+               "scheduler_patience": ("scheduler", "patience"),
+               "min_lr": ("scheduler", "min_lr")}
+
     max_epochs: int = 100
     batch_size: int = 32
     initial_lr: float = 1e-3
@@ -51,48 +59,11 @@ class TrainConfig:
             raise ConfigError("scheduler factor must lie in (0, 1)")
         if self.max_epochs < 1 or self.batch_size < 1:
             raise ConfigError("max_epochs and batch_size must be positive")
-
-    def to_dict(self) -> dict:
-        return {
-            "max_epochs": self.max_epochs, "batch_size": self.batch_size,
-            "initial_lr": self.initial_lr,
-            "early_stop": {"rel_improvement": self.early_stop_rel,
-                           "patience": self.early_stop_patience},
-            "scheduler": {"factor": self.scheduler_factor,
-                          "patience": self.scheduler_patience,
-                          "min_lr": self.min_lr},
-            "grad_clip_norm": self.grad_clip_norm,
-            "seed": self.seed,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "TrainConfig":
-        d = dict(d)
-        flat = {}
-        early = d.pop("early_stop", {})
-        sched = d.pop("scheduler", {})
-        known_early = {"rel_improvement", "patience"}
-        known_sched = {"factor", "patience", "min_lr"}
-        if set(early) - known_early:
-            raise ConfigError(f"unknown early_stop keys: {sorted(set(early) - known_early)}")
-        if set(sched) - known_sched:
-            raise ConfigError(f"unknown scheduler keys: {sorted(set(sched) - known_sched)}")
-        if "rel_improvement" in early:
-            flat["early_stop_rel"] = early["rel_improvement"]
-        if "patience" in early:
-            flat["early_stop_patience"] = early["patience"]
-        if "factor" in sched:
-            flat["scheduler_factor"] = sched["factor"]
-        if "patience" in sched:
-            flat["scheduler_patience"] = sched["patience"]
-        if "min_lr" in sched:
-            flat["min_lr"] = sched["min_lr"]
-        known = {"max_epochs", "batch_size", "initial_lr", "grad_clip_norm", "seed"}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown train config keys: {sorted(unknown)}")
-        flat.update(d)
-        return TrainConfig(**flat)
+        if self.initial_lr <= 0 or self.min_lr < 0:
+            raise ConfigError(f"initial_lr must be positive and min_lr nonnegative, "
+                              f"got {self.initial_lr}, {self.min_lr}")
+        if self.grad_clip_norm is not None and self.grad_clip_norm <= 0:
+            raise ConfigError(f"grad_clip_norm must be positive or null, got {self.grad_clip_norm}")
 
 
 class EarlyStopTracker:

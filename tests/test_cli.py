@@ -71,6 +71,15 @@ class TestUsageErrors:
                     "--train-csv", str(csv_path), "--out", str(tmp / "out")])
         assert code == 2
 
+    def test_config_that_is_not_an_object(self, workspace, tmp_path, caplog):
+        tmp, csv_path, _ = workspace
+        bad = tmp_path / "bad.json"
+        bad.write_text("[]")
+        code = run(["pretrain", "--config", str(bad),
+                    "--train-csv", str(csv_path), "--out", str(tmp / "out")])
+        assert code == 2
+        assert "does not hold a JSON object" in caplog.text
+
     def test_malformed_csv(self, workspace, tmp_path):
         tmp, _, cfg_path = workspace
         bad = tmp_path / "bad.csv"
@@ -91,11 +100,21 @@ class TestUsageErrors:
     @pytest.mark.parametrize("section,override", [
         ("data", {"path": "x.csv"}),        # the CSVs come from the flags only
         ("model", {"num_classes": 3}),      # pretraining scores one validity logit
+        ("model", {"f_embed": "8"}),
+        ("model", {"branches": [5]}),
+        ("model", {"heads": 0}),
+        ("model", {"branches": [{"kernel": 3, "stride": 0}]}),
+        ("train", {"initial_lr": "x"}),
+        ("train", {"initial_lr": 0}),
+        ("train", {"grad_clip_norm": -1}),
+        ("train", {"scheduler": {"min_lr": -1e-6}}),
+        (None, {"data": 5}),                # a whole section that is not an object
+        (None, {"model": []}),
     ])
     def test_rejected_pretrain_config(self, workspace, section, override):
         tmp, csv_path, cfg_path = workspace
         cfg = json.loads(cfg_path.read_text())
-        cfg[section].update(override)
+        (cfg[section] if section else cfg).update(override)
         cfg_path.write_text(json.dumps(cfg))
         code = run(["pretrain", "--config", str(cfg_path),
                     "--train-csv", str(csv_path), "--out", str(tmp / "out")])
@@ -235,6 +254,28 @@ class TestFinetuneAndEval:
         assert code == 1
         assert capsys.readouterr().out == ""
         assert "offset -8 does not place it inside params.bin" in caplog.text
+
+    @pytest.mark.parametrize("stats", [
+        "{broken",
+        '{"mins": [0.0]}',
+        '{"mins": [0.0, 0.0], "maxs": [1.0]}',
+        '{"mins": [0.0], "maxs": [NaN]}',
+        '{"mins": ["a"], "maxs": [1.0]}',
+        "[]",
+    ])
+    def test_malformed_norm_stats_exits_with_runtime_code(self, tmp_path, capsys, caplog,
+                                                         stats):
+        from tsrm.model import ModelConfig, TsrmModel, save_checkpoint
+        cfg = ModelConfig(T=24, F=1, f_embed=4, n_layers=1, heads=2,
+                          branches=[{"kernel": 3, "dilation": 1}], dropout_p=0.0)
+        save_checkpoint(TsrmModel(cfg, seed=0), tmp_path / "m")
+        (tmp_path / "m" / "norm_stats.json").write_text(stats)
+        csv_path = write_sine_csv(tmp_path / "series.csv", n_rows=96)
+        code = run(["eval", "--task", "impute", "--model", str(tmp_path / "m"),
+                    "--test-csv", str(csv_path)])
+        assert code == 1
+        assert capsys.readouterr().out == ""
+        assert "norm_stats.json" in caplog.text
 
     @pytest.mark.parametrize("command", ["eval", "explain", "finetune"])
     @pytest.mark.parametrize("n_cols", [1, 2])

@@ -636,6 +636,23 @@ class TestCheckpointing:
         with pytest.raises(CorruptCheckpointError, match="does not place it inside"):
             load_checkpoint(tmp_path / "ckpt")
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda m, e: m.update(params=5),
+        lambda m, e: m["params"].append(7),
+        lambda m, e: e["embed.b"].pop("offset"),
+        lambda m, e: e["embed.b"].update(shape=["a"]),
+        lambda m, e: e["embed.b"].update(shape=4),
+        lambda m, e: e["embed.b"].update(shape=[-1, -4]),
+        lambda m, e: e["embed.b"].update(name=["embed.b"]),
+    ], ids=["params-not-a-list", "entry-not-an-object", "no-offset", "shape-of-strings",
+            "shape-not-a-list", "negative-dims", "name-not-a-string"])
+    def test_malformed_params_entry_rejected(self, tmp_path, corrupt):
+        manifest, entries = self._saved_entries(tmp_path, seed=40)
+        corrupt(manifest, entries)
+        self._write_manifest(tmp_path, manifest)
+        with pytest.raises(CorruptCheckpointError, match="'params' is not a list|malformed"):
+            load_checkpoint(tmp_path / "ckpt")
+
     def test_manifest_in_reverse_order_loads(self, tmp_path):
         # the ranges need not be listed in blob order, only tile it
         manifest, _ = self._saved_entries(tmp_path, seed=41)
