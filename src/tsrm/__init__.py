@@ -10,6 +10,7 @@ from .errors import (
     CheckpointError,
     MissingCheckpointError,
     CorruptCheckpointError,
+    CorruptConfigError,
     ShapeMismatchError,
     UnsupportedVersionError,
 )

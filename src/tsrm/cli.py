@@ -31,10 +31,11 @@ from .data import (
     split_series,
     window,
 )
-from .errors import ConfigError, CorruptCheckpointError, DataError, NumericsError, TsrmError
+from .errors import (ConfigError, CorruptCheckpointError, CorruptConfigError, DataError,
+                     NumericsError, TsrmError)
 from .explain import export_attention
 from .finetune import TaskSpec, evaluate_task, prepare_finetune
-from .model import ModelConfig, TsrmModel, load_checkpoint
+from .model import TASK_KINDS, ModelConfig, TsrmModel, load_checkpoint
 from .pretraining import generate_mask, subset_length_bounds
 from .trainer import FinetuneObjective, PretrainObjective, TrainConfig, train
 
@@ -69,8 +70,7 @@ def load_run_config(path) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {e}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} does not hold a JSON object")
-    unknown = set(raw) - CONFIG_SECTIONS
-    if unknown:
+    if unknown := set(raw) - CONFIG_SECTIONS:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
     for name, section in raw.items():
         if not isinstance(section, dict):
@@ -210,12 +210,10 @@ def cmd_pretrain(args) -> int:
 
 def _task_from_args(args, raw: dict) -> TaskSpec:
     section = dict(raw.get("task", {}))
-    if args.task is not None:
-        section["kind"] = args.task
-    if args.horizon is not None:
-        section["horizon"] = args.horizon
-    if args.classes is not None:
-        section["num_classes"] = args.classes
+    for key, flag in (("kind", args.task), ("horizon", args.horizon),
+                      ("num_classes", args.classes)):
+        if flag is not None:
+            section[key] = flag
     if "kind" not in section:
         raise ConfigError("no task given (flag --task or config [task].kind)")
     return TaskSpec.from_dict(section)
@@ -256,7 +254,10 @@ def cmd_eval(args) -> int:
     model = load_checkpoint(args.model)
     raw = load_run_config(args.config) if args.config else {}
     if not args.task and model.task_spec:
-        task = TaskSpec.from_dict(model.task_spec)
+        try:
+            task = TaskSpec.from_dict(model.task_spec)
+        except ConfigError as e:
+            raise CorruptConfigError(f"manifest task_spec: {e}") from e
     else:
         task = _task_from_args(args, raw)
     data_spec = DatasetSpec.from_dict(raw.get("data", {}))
@@ -287,10 +288,8 @@ def cmd_explain(args) -> int:
     if not 0 <= args.sample < len(dataset):
         raise ConfigError(f"sample index {args.sample} out of range "
                           f"(dataset holds {len(dataset)} windows)")
-    values = dataset.values[args.sample]
-    observed = dataset.observed[args.sample]
-    paths = export_attention(model, values, observed, args.out, svg=args.svg,
-                             mode=args.backmap_mode)
+    paths = export_attention(model, dataset.values[args.sample], dataset.observed[args.sample],
+                             args.out, svg=args.svg, mode=args.backmap_mode)
     _emit({"written": [str(p) for p in paths]})
     return EXIT_OK
 
@@ -304,13 +303,9 @@ def cmd_mask_stats(args) -> int:
     for _ in range(args.n):
         mask = generate_mask(args.t, observed, rng)[:, 0]
         fractions.append(float(mask.mean()))
-        current = 0
-        for v in np.append(mask, False):
-            if v:
-                current += 1
-            elif current:
-                run_hist[current] = run_hist.get(current, 0) + 1
-                current = 0
+        edges = np.diff(mask.astype(np.int8), prepend=0, append=0)  # +1 opens a run, -1 ends it
+        for run in (np.flatnonzero(edges < 0) - np.flatnonzero(edges > 0)).tolist():
+            run_hist[run] = run_hist.get(run, 0) + 1
     _emit({
         "t": args.t, "draws": args.n, "seed": args.seed or 0,
         "fraction": {"min": min(fractions), "max": max(fractions),
@@ -335,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("finetune", help="adapt a pretrained model to a task")
-    p.add_argument("--task", choices=["forecast", "impute", "classify"])
+    p.add_argument("--task", choices=TASK_KINDS)
     p.add_argument("--horizon", type=int)
     p.add_argument("--classes", type=int)
     p.add_argument("--model", required=True)
@@ -349,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="metrics on a test CSV")
     p.add_argument("--model", required=True)
     p.add_argument("--test-csv", required=True)
-    p.add_argument("--task", choices=["forecast", "impute", "classify"])
+    p.add_argument("--task", choices=TASK_KINDS)
     p.add_argument("--horizon", type=int)
     p.add_argument("--classes", type=int)
     p.add_argument("--horizon-eval", type=int,
@@ -388,14 +383,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ConfigError, DataError) as e:
         logger.error("%s", e)
-        return EXIT_USAGE
+        return EXIT_RUNTIME if isinstance(e, CorruptConfigError) else EXIT_USAGE
     except NumericsError as e:
         logger.error("numerical abort: %s", e)
         return EXIT_NUMERIC
-    except TsrmError as e:
-        logger.error("%s", e)
-        return EXIT_RUNTIME
-    except OSError as e:
+    except (TsrmError, OSError) as e:
         logger.error("%s", e)
         return EXIT_RUNTIME
 

@@ -35,6 +35,10 @@ class CorruptCheckpointError(CheckpointError):
     """Checkpoint files exist but their contents are inconsistent."""
 
 
+class CorruptConfigError(CorruptCheckpointError, ConfigError):
+    """A config section a checkpoint carries does not decode."""
+
+
 class ShapeMismatchError(CheckpointError):
     """Manifest-declared shapes disagree with the stored blob or config."""
 

@@ -12,7 +12,6 @@ them up, which conserves the total weight exactly).
 
 from __future__ import annotations
 
-import csv
 import logging
 from pathlib import Path
 
@@ -75,10 +74,6 @@ def backmapped_layers(model: TsrmModel, attention: np.ndarray, sample_index: int
     return backmap(attention[:, sample_index], cfg.resolved_branches, cfg.T, mode=mode)
 
 
-def _format(v: float) -> str:
-    return f"{v:.8g}"
-
-
 def export_attention(model: TsrmModel, values: np.ndarray, observed: np.ndarray,
                      out_dir, svg: bool = False, mode: str = "mean") -> list:
     """Eval-forward one window and write per-feature attention CSVs.
@@ -107,28 +102,29 @@ def export_attention(model: TsrmModel, values: np.ndarray, observed: np.ndarray,
     layers = backmapped_layers(model, trace.attention, 0, mode=mode)  # [N, F, T]
     weight_sum = layers.sum(axis=0)                                   # [F, T]
     output = trace.output.data[0]
+    # every column as float64 (exact for the float32 ones), [F, 3 + N, T]
+    columns = np.concatenate([model_input.T[:, None], output.T[:, None],
+                              weight_sum[:, None], layers.transpose(1, 0, 2)], axis=1)
+    header = ",".join(["t", "input_value", "output_value", "weight_sum"]
+                      + [f"weight_layer_{n + 1}" for n in range(cfg.n_layers)]) + "\r\n"
+    # as csv.writer wrote it: "\r\n" line ends, no quoting, and "%.8g" of a Python
+    # float is f"{v:.8g}" of the numpy scalar
+    line = "%d," + ",".join(["%.8g"] * (3 + cfg.n_layers)) + "\r\n"
 
     written = []
-    for f in range(cfg.F):
+    for f, block in enumerate(columns.tolist()):
         path = out_dir / f"attention_feature_{f}.csv"
         # Replace an earlier export rather than truncate it: ext4 (auto_da_alloc)
         # starts writing a truncated-and-rewritten file to disk when it is
         # closed, one disk write per file on every repeated export.
         path.unlink(missing_ok=True)
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "input_value", "output_value", "weight_sum"]
-                            + [f"weight_layer_{n + 1}" for n in range(cfg.n_layers)])
-            for t in range(cfg.T):
-                writer.writerow([t, _format(model_input[t, f]), _format(output[t, f]),
-                                 _format(weight_sum[f, t])]
-                                + [_format(layers[n, f, t]) for n in range(cfg.n_layers)])
+            fh.write(header + "".join(line % row for row in zip(range(cfg.T), *block)))
         written.append(path)
         if svg:
             svg_path = out_dir / f"attention_feature_{f}.svg"
             svg_path.unlink(missing_ok=True)
-            svg_path.write_text(_render_svg(model_input[:, f], output[:, f],
-                                            weight_sum[f]))
+            svg_path.write_text(_render_svg(model_input[:, f], output[:, f], weight_sum[f]))
             written.append(svg_path)
     logger.info("wrote %d explainability files to %s", len(written), out_dir)
     return written
@@ -148,17 +144,15 @@ def _render_svg(inputs: np.ndarray, outputs: np.ndarray, weights: np.ndarray) ->
     def y(v):
         return height - pad - (v - lo) * (height - 2 * pad) / (hi - lo)
 
-    bars = []
-    for t in range(T):
-        h = weights[t] / w_max * (height - 2 * pad)
-        bars.append(f'<rect x="{x(t) - 1:.2f}" y="{height - pad - h:.2f}" width="2" '
-                    f'height="{h:.2f}" fill="#d33" opacity="0.45"/>')
-    in_pts = " ".join(f"{x(t):.2f},{y(float(inputs[t])):.2f}" for t in range(T))
-    out_pts = " ".join(f"{x(t):.2f},{y(float(outputs[t])):.2f}" for t in range(T))
+    heights = [w / w_max * (height - 2 * pad) for w in weights.tolist()]
+    bars = "".join(f'<rect x="{x(t) - 1:.2f}" y="{height - pad - h:.2f}" width="2" '
+                   f'height="{h:.2f}" fill="#d33" opacity="0.45"/>' for t, h in enumerate(heights))
+    in_pts = " ".join(f"{x(t):.2f},{y(v):.2f}" for t, v in enumerate(inputs.tolist()))
+    out_pts = " ".join(f"{x(t):.2f},{y(v):.2f}" for t, v in enumerate(outputs.tolist()))
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">'
         f'<rect width="100%" height="100%" fill="white"/>'
-        + "".join(bars)
+        + bars
         + f'<polyline points="{in_pts}" fill="none" stroke="#2a2" stroke-width="1.5"/>'
         + f'<polyline points="{out_pts}" fill="none" stroke="#36c" stroke-width="1.5"/>'
         + "</svg>"

@@ -20,12 +20,10 @@ from .autodiff import Tensor, bce_with_logits, no_grad, softmax_cross_entropy
 from .config import Section
 from .data import WindowedDataset
 from .errors import ConfigError, DataError
-from .model import MISSING_TOKEN, ForwardTrace, TsrmModel, rebuild_for_window
+from .model import MISSING_TOKEN, TASK_KINDS, ForwardTrace, TsrmModel, rebuild_for_window
 from .pretraining import build_model_input, generate_mask, masked_mse_weights
 
 logger = logging.getLogger("tsrm.finetune")
-
-TASK_KINDS = ("forecast", "impute", "classify")
 
 # windows per evaluation forward: the activations of one batch, not the
 # dataset's size, set an evaluation's peak memory

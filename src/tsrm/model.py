@@ -42,6 +42,7 @@ from .autodiff import (
 from .errors import (
     ConfigError,
     CorruptCheckpointError,
+    CorruptConfigError,
     DataError,
     MissingCheckpointError,
     ShapeMismatchError,
@@ -54,6 +55,8 @@ CHECKPOINT_VERSION = 1
 # model-input token of a value the model must not see; normalized values lie
 # in [0, 1], so it never occurs naturally
 MISSING_TOKEN = -1.0
+
+TASK_KINDS = ("forecast", "impute", "classify")
 
 # attention-map classifier trunk dimensions (recorded in the effective
 # config for reproducibility)
@@ -565,9 +568,14 @@ def load_checkpoint(directory) -> TsrmModel:
         if key not in manifest:
             raise CorruptCheckpointError(f"manifest lacks the {key!r} section")
 
-    config = ModelConfig.from_dict(manifest["config"])
-    model = TsrmModel(config, task=manifest.get("task", "pretrain"),
-                      task_spec=manifest.get("task_spec"), _empty=True)
+    task, task_spec = manifest.get("task", "pretrain"), manifest.get("task_spec")
+    try:
+        config = ModelConfig.from_dict(manifest["config"])
+        if task not in ("pretrain",) + TASK_KINDS or not isinstance(task_spec, (dict, type(None))):
+            raise ConfigError(f"task {task!r} or task_spec {task_spec!r} is malformed")
+    except ConfigError as e:
+        raise CorruptConfigError(f"manifest: {e}") from e
+    model = TsrmModel(config, task=task, task_spec=task_spec, _empty=True)
 
     raw = blob_path.read_bytes()
     n_floats = len(raw) // 4

@@ -497,6 +497,24 @@ class TestPoolOracle:
         out.backward(g)
         assert_bitwise(xt.grad, accumulated(gx))
 
+    @pytest.mark.parametrize("L,k,stride", [(94, 2, 2), (23, 4, 4), (23, 2, 3), (23, 1, 4),
+                                            (23, 3, 2), (23, 5, 1)],
+                             ids=["k=s=2", "k=s=4", "k<s", "k=1<s", "k>s", "k>s=1"])
+    def test_backward_equals_add_at_reference(self, L, k, stride):
+        # disjoint windows (k <= stride) write each gradient once, overlapping
+        # ones sum theirs; small integer inputs tie inside windows, and a
+        # gradient of signed zeros shows any difference in how zeros are kept
+        rng = np.random.default_rng(L + 10 * k + stride)
+        x = model_layout(rng, 8, 16, L, ties=True)
+        xt = Tensor(x, requires_grad=True)
+        out = maxpool1d(xt, k, stride)
+        g = rng.integers(-1, 2, out.shape).astype(np.float32)
+        g[g == 0] = -0.0
+        want, gx = oracle_maxpool(x, k, stride, g)
+        assert_bitwise(out.data, want)
+        out.backward(g)
+        assert_bitwise(xt.grad, accumulated(gx))
+
     @pytest.mark.parametrize("ties", [False, True])
     @pytest.mark.parametrize("lead", [(), (3,)])
     @pytest.mark.parametrize("L", [5, 8, 13, 19, 24, 61])

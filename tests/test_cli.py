@@ -255,6 +255,29 @@ class TestFinetuneAndEval:
         assert capsys.readouterr().out == ""
         assert "offset -8 does not place it inside params.bin" in caplog.text
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda m: m["config"].update(f_embed="8"),
+        lambda m: m.update(task=5),
+        lambda m: m.update(task_spec=[1]),
+        lambda m: m.update(task="forecast", task_spec={"kind": "forecast"}),
+        lambda m: m.update(task="impute", task_spec={"kind": "impute", "extra": 1}),
+    ], ids=["config-value-of-wrong-type", "task-not-a-string", "task-spec-a-list",
+            "forecast-spec-without-horizon", "task-spec-with-unknown-key"])
+    def test_corrupt_manifest_config_exits_with_runtime_code(self, tmp_path, capsys, caplog,
+                                                             corrupt):
+        from tsrm.model import ModelConfig, TsrmModel, save_checkpoint
+        cfg = ModelConfig(T=24, F=1, f_embed=4, n_layers=1, heads=2,
+                          branches=[{"kernel": 3, "dilation": 1}], dropout_p=0.0)
+        save_checkpoint(TsrmModel(cfg, seed=0), tmp_path / "m")
+        manifest = json.loads((tmp_path / "m" / "manifest.json").read_text())
+        corrupt(manifest)
+        (tmp_path / "m" / "manifest.json").write_text(json.dumps(manifest))
+        csv_path = write_sine_csv(tmp_path / "series.csv", n_rows=96)
+        code = run(["eval", "--model", str(tmp_path / "m"), "--test-csv", str(csv_path)])
+        assert code == 1
+        assert capsys.readouterr().out == ""
+        assert "manifest" in caplog.text
+
     @pytest.mark.parametrize("stats", [
         "{broken",
         '{"mins": [0.0]}',

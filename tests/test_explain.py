@@ -1,13 +1,17 @@
 """Back-mapping of attention vectors and the export format."""
 
 import contextlib
+import csv
+import io
 
 import numpy as np
 import pytest
 
 import tsrm.explain as explain_module
+from tsrm.autodiff import no_grad
 from tsrm.errors import ConfigError
 from tsrm.explain import backmap, backmap_branch, backmapped_layers, export_attention
+from tsrm.finetune import TaskSpec, prepare_finetune
 from tsrm.model import BranchSpec, ModelConfig, TsrmModel
 
 from helpers import spy_forward
@@ -217,3 +221,138 @@ class TestExport:
         layers = backmapped_layers(model, trace.attention)
         assert layers.shape == (2, 2, 24)
         assert (layers >= 0).all()
+
+
+def reference_svg(inputs, outputs, weights):
+    """The SVG plot drawn from numpy scalars, one element at a time."""
+    T = len(inputs)
+    width, height, pad = 900, 300, 30
+    lo = float(min(inputs.min(), outputs.min(), 0.0))
+    hi = float(max(inputs.max(), outputs.max(), 1.0))
+    w_max = float(weights.max()) or 1.0
+
+    def x(t):
+        return pad + t * (width - 2 * pad) / max(T - 1, 1)
+
+    def y(v):
+        return height - pad - (v - lo) * (height - 2 * pad) / (hi - lo)
+
+    bars = []
+    for t in range(T):
+        h = weights[t] / w_max * (height - 2 * pad)
+        bars.append(f'<rect x="{x(t) - 1:.2f}" y="{height - pad - h:.2f}" width="2" '
+                    f'height="{h:.2f}" fill="#d33" opacity="0.45"/>')
+    in_pts = " ".join(f"{x(t):.2f},{y(float(inputs[t])):.2f}" for t in range(T))
+    out_pts = " ".join(f"{x(t):.2f},{y(float(outputs[t])):.2f}" for t in range(T))
+    return (
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">'
+        f'<rect width="100%" height="100%" fill="white"/>'
+        + "".join(bars)
+        + f'<polyline points="{in_pts}" fill="none" stroke="#2a2" stroke-width="1.5"/>'
+        + f'<polyline points="{out_pts}" fill="none" stroke="#36c" stroke-width="1.5"/>'
+        + "</svg>"
+    )
+
+
+def reference_export(model, values, observed, svg=False, mode="mean"):
+    """File name -> bytes of an export written row by row with csv.writer
+    and one f"{v:.8g}" per numpy scalar."""
+    cfg = model.config
+    visible = observed.copy()
+    if model.task == "forecast":
+        visible[model.task_spec["input_len"]:] = False
+    filled = np.nan_to_num(values, nan=0.0).astype(np.float32)
+    model_input = np.where(visible, filled, -1.0).astype(np.float32)
+    with no_grad():
+        trace = model.forward(model_input[None])
+    layers = backmapped_layers(model, trace.attention, 0, mode=mode)
+    weight_sum = layers.sum(axis=0)
+    output = trace.output.data[0]
+    files = {}
+    for f in range(cfg.F):
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(["t", "input_value", "output_value", "weight_sum"]
+                        + [f"weight_layer_{n + 1}" for n in range(cfg.n_layers)])
+        for t in range(cfg.T):
+            writer.writerow([t, f"{model_input[t, f]:.8g}", f"{output[t, f]:.8g}",
+                             f"{weight_sum[f, t]:.8g}"]
+                            + [f"{layers[n, f, t]:.8g}" for n in range(cfg.n_layers)])
+        files[f"attention_feature_{f}.csv"] = buf.getvalue().encode()
+        if svg:
+            files[f"attention_feature_{f}.svg"] = reference_svg(
+                model_input[:, f], output[:, f], weight_sum[f]).encode()
+    return files
+
+
+class TestExportBytes:
+    """export_attention writes the bytes of the row-by-row reference."""
+
+    def model(self, forecast=False):
+        cfg = ModelConfig(T=32, F=2, f_embed=4, n_layers=2, heads=2,
+                          branches=[{"kernel": 3, "dilation": 1},
+                                    {"kernel": 5, "dilation": 2}], dropout_p=0.0)
+        model = TsrmModel(cfg, seed=3)
+        if forecast:
+            model = prepare_finetune(model, TaskSpec("forecast", horizon=8, input_len=24))
+        return model
+
+    def window(self, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.random((32, 2)).astype(np.float32)
+        observed = rng.random((32, 2)) > 0.1
+        return values, observed
+
+    def assert_same_bytes(self, tmp_path, model, values, observed, **kwargs):
+        paths = export_attention(model, values, observed, tmp_path, **kwargs)
+        want = reference_export(model, values, observed, **kwargs)
+        assert [p.name for p in paths] == list(want)
+        for path in paths:
+            assert path.read_bytes() == want[path.name], path.name
+
+    @pytest.mark.parametrize("mode", ["mean", "sum"])
+    def test_two_features_two_layers(self, tmp_path, mode):
+        self.assert_same_bytes(tmp_path, self.model(), *self.window(11), mode=mode)
+
+    def test_forecast_hides_its_horizon(self, tmp_path):
+        values, observed = self.window(12)
+        observed[:] = True
+        self.assert_same_bytes(tmp_path, self.model(forecast=True), values, observed)
+        rows = (tmp_path / "attention_feature_0.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[1] for r in rows[24:]] == ["-1"] * 8
+
+    def test_inputs_of_exactly_zero_and_one(self, tmp_path):
+        values, observed = self.window(13)
+        values[::2] = 0.0
+        values[1::2] = 1.0
+        self.assert_same_bytes(tmp_path, self.model(), values, observed)
+        cells = {r.split(",")[1] for r in
+                 (tmp_path / "attention_feature_1.csv").read_text().splitlines()[1:]}
+        assert {"0", "1"} <= cells
+
+    def test_svg(self, tmp_path):
+        self.assert_same_bytes(tmp_path, self.model(), *self.window(14), svg=True)
+
+    def test_each_csv_is_written_inside_one_module_level_open(self, tmp_path, monkeypatch):
+        # a benchmark's write span replaces the module's open with a shim that
+        # works only as a context manager; each file must enter it once
+        entered = []
+
+        class ContextOnlyOpen:
+            def __init__(self, *args, **kwargs):
+                self._args, self._kwargs = args, kwargs
+
+            def __enter__(self):
+                entered.append(self._args[0])
+                self._fh = open(*self._args, **self._kwargs)
+                return self._fh.__enter__()
+
+            def __exit__(self, *exc):
+                return self._fh.__exit__(*exc)
+
+        monkeypatch.setattr(explain_module, "open", ContextOnlyOpen, raising=False)
+        model, (values, observed) = self.model(), self.window(15)
+        paths = export_attention(model, values, observed, tmp_path)
+        assert entered == paths
+        want = reference_export(model, values, observed)
+        assert {p.name: p.read_bytes() for p in paths} == want

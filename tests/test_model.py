@@ -653,6 +653,32 @@ class TestCheckpointing:
         with pytest.raises(CorruptCheckpointError, match="'params' is not a list|malformed"):
             load_checkpoint(tmp_path / "ckpt")
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda m: m["config"].update(f_embed="8"),
+        lambda m: m["config"].update(attention_reduce_axis="keys"),
+        lambda m: m.update(task=5),
+        lambda m: m.update(task="pretrian"),
+        lambda m: m.update(task=None),
+        lambda m: m.update(task_spec=[1]),
+        lambda m: m.update(task_spec="impute"),
+    ], ids=["config-value-of-wrong-type", "config-reduce-axis", "task-not-a-string",
+            "unknown-task", "null-task", "task-spec-a-list", "task-spec-a-string"])
+    def test_malformed_config_or_task_is_a_corrupt_checkpoint(self, tmp_path, corrupt):
+        manifest, _ = self._saved_entries(tmp_path, seed=42)
+        corrupt(manifest)
+        self._write_manifest(tmp_path, manifest)
+        with pytest.raises(CorruptCheckpointError, match="manifest: "):
+            load_checkpoint(tmp_path / "ckpt")
+
+    @pytest.mark.parametrize("task,task_spec", [
+        ("pretrain", None), ("impute", {"kind": "impute"}), ("classify", None)])
+    def test_known_task_with_null_or_object_spec_loads(self, tmp_path, task, task_spec):
+        manifest, _ = self._saved_entries(tmp_path, seed=43)
+        manifest.update(task=task, task_spec=task_spec)
+        self._write_manifest(tmp_path, manifest)
+        restored = load_checkpoint(tmp_path / "ckpt")
+        assert (restored.task, restored.task_spec) == (task, task_spec)
+
     def test_manifest_in_reverse_order_loads(self, tmp_path):
         # the ranges need not be listed in blob order, only tile it
         manifest, _ = self._saved_entries(tmp_path, seed=41)
