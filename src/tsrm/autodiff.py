@@ -29,7 +29,6 @@ from contextlib import contextmanager
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-from scipy import special as _special
 
 from .errors import ConfigError
 
@@ -357,7 +356,7 @@ def reshape(a: Tensor, shape) -> Tensor:
 def transpose(a: Tensor, axes) -> Tensor:
     axes = tuple(axes)
     data = a.data.transpose(axes)
-    inv = tuple(np.argsort(axes))
+    inv = tuple(sorted(range(len(axes)), key=axes.__getitem__))
 
     def backward(g):
         a._accumulate(g.transpose(inv))
@@ -427,12 +426,90 @@ def tmean(a: Tensor, axis=None, keepdims=False) -> Tensor:
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
+# Cephes ndtr.c rational approximations of erf and erfc (Moshier, "Methods and
+# Programs for Mathematical Functions", 1989), highest power first; U and Q are
+# monic and carry their leading 1. scipy.special.erf evaluates the same ones.
+# Each is a 0-d array: numpy adds one to a vector faster than a Python float or
+# a 1-element array, and those adds are most of a small array's erf.
+_ERF_T = tuple(map(np.array, [
+    9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+    7.00332514112805075473E3, 5.55923013010394962768E4]))
+_ERF_U = tuple(map(np.array, [
+    1.0, 3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+    2.26290000613890934246E4, 4.92673942608635921086E4]))
+_ERFC_P = tuple(map(np.array, [
+    2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+    4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+    9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2]))
+_ERFC_Q = tuple(map(np.array, [
+    1.0, 1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+    9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+    1.65666309194161350182E3, 5.57535340817727675546E2]))
+# erfc(6) = 2.2e-17 is below 2**-54, half the spacing of the doubles just under
+# 1, so from |t| = 6 on 1 - erfc(|t|) rounds to 1
+_ERF_SATURATES = 6.0
+# elements per block: the float64 temporaries of one block stay in L2
+_ERF_BLOCK = 1 << 15
+
+
+def _horner(x: np.ndarray, coefs: tuple) -> np.ndarray:
+    """The polynomial with the given coefficients at x, as Cephes' polevl."""
+    acc = x * coefs[0]
+    acc += coefs[1]
+    for c in coefs[2:]:
+        acc *= x
+        acc += c
+    return acc
+
+
+def _erf_block(t: np.ndarray) -> np.ndarray:
+    """erf of a float64 vector, operation for operation as Cephes computes it.
+
+    |t| <= 1: t T(t^2) / U(t^2). Beyond: 1 - exp(-t^2) P(|t|) / Q(|t|), with
+    the sign of t. Every element takes the first formula with |t| held at 1,
+    and those beyond 1 are then overwritten; the second holds |t| at 6. So
+    huge inputs cannot overflow, and NaN stays NaN.
+    """
+    a = np.abs(t)
+    x = np.minimum(a, 1.0)
+    z = x * x
+    out = _horner(z, _ERF_T)
+    out *= x
+    out /= _horner(z, _ERF_U)
+    outer = (a > 1.0).nonzero()[0]
+    if outer.size:
+        x = np.minimum(a[outer], _ERF_SATURATES)
+        e = x * x
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        e *= _horner(x, _ERFC_P)
+        e /= _horner(x, _ERFC_Q)
+        out[outer] = np.subtract(1.0, e, out=e)
+    return np.copysign(out, t, out=out)
+
+
+def _erf(t: np.ndarray) -> np.ndarray:
+    """erf of every element of t, written over t and returned.
+
+    t must be dense in some axis order, as a fresh ufunc result is, so that
+    its elements in memory order are a view. The work runs in float64 blocks
+    and rounds once to t's dtype, so a float32 t gets the float32 value
+    scipy.special.erf returns, bit for bit.
+    """
+    flat = t.ravel(order="K")
+    for start in range(0, flat.size, _ERF_BLOCK):
+        block = flat[start: start + _ERF_BLOCK]
+        block[...] = _erf_block(block.astype(np.float64, copy=False))
+    return t
+
 
 def gelu(a: Tensor) -> Tensor:
     """Exact (erf-based) GELU: x * Phi(x)."""
     x = a.data
-    cdf = 0.5 * (1.0 + _special.erf(x * _INV_SQRT2))
-    data = (x * cdf).astype(x.dtype)
+    cdf = _erf(np.asarray(x * _INV_SQRT2))     # a 0-d product is a scalar: make it writable
+    cdf += 1.0
+    cdf *= 0.5
+    data = x * cdf
 
     def backward(g):
         pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
@@ -615,21 +692,28 @@ def conv1d(x: Tensor, weight: Tensor, bias: Optional[Tensor], stride: int = 1) -
     L_out = conv_output_length(L, k, 1, stride)
     starts = np.arange(L_out) * stride
     idx = starts[:, None] + np.arange(k)[None, :]          # [L_out, k]
+    # Each product is one (batched) GEMM over im2col columns, in the operand
+    # order and layouts np.einsum(..., optimize=True) hands to matmul, so the
+    # results are its own, without planning the contraction on every call.
     windows = x.data[..., idx]                             # [..., B, Cin, L_out, k]
-    out = np.einsum("...bilk,...oik->...bol", windows, weight.data, optimize=True)
+    cols = np.moveaxis(windows, (-4, -2), (-2, -1)).reshape(*lead, Cin * k, B * L_out)
+    w2 = weight.data.reshape(*lead, Cout, Cin * k)
+    out = (w2 @ cols).reshape(*lead, Cout, B, L_out).swapaxes(-3, -2)
     if bias is not None:
         out += bias.data[..., None, :, None]
     out = out.astype(x.data.dtype)
 
     def backward(g):
         if x.requires_grad:
-            gw = np.einsum("...bol,...oik->...bilk", g, weight.data, optimize=True)
+            gcols = np.swapaxes(w2, -1, -2) @ np.swapaxes(g, -3, -2).reshape(*lead, Cout, B * L_out)
             gx = np.zeros_like(x.data)
-            np.add.at(gx, (..., idx), gw)
+            np.add.at(gx, (..., idx),
+                      np.moveaxis(gcols.reshape(*lead, Cin, k, B, L_out), (-2, -1), (-4, -2)))
             x._accumulate(gx)
         if weight.requires_grad:
-            weight._accumulate(np.einsum("...bol,...bilk->...oik", g, windows,
-                                         optimize=True).astype(weight.data.dtype))
+            gt = np.swapaxes(g, -2, -1).reshape(*lead, B * L_out, Cout)
+            weight._accumulate(np.moveaxis((cols @ gt).reshape(*lead, Cin, k, Cout), -1, -3)
+                               .astype(weight.data.dtype))
         if bias is not None and bias.requires_grad:
             bias._accumulate(g.sum(axis=(-3, -1)))
 

@@ -17,10 +17,10 @@ import json
 import logging
 import os
 import sys
+from importlib import metadata
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from .data import (
     DatasetSpec,
@@ -34,7 +34,7 @@ from .data import (
 from .errors import (ConfigError, CorruptCheckpointError, CorruptConfigError, DataError,
                      NumericsError, TsrmError)
 from .explain import export_attention
-from .finetune import TaskSpec, evaluate_task, prepare_finetune
+from .finetune import TaskSpec, evaluate_task, prepare_finetune, stored_task_spec
 from .model import TASK_KINDS, ModelConfig, TsrmModel, load_checkpoint
 from .pretraining import generate_mask, subset_length_bounds
 from .trainer import FinetuneObjective, PretrainObjective, TrainConfig, train
@@ -141,10 +141,11 @@ def _openblas_threads():
 
 
 def _environment() -> dict:
-    """Library versions and BLAS threading, recorded with every run."""
+    """Library versions and BLAS threading, recorded with every run. scipy's
+    version is read from its installed metadata: tsrm never imports scipy."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     return {"python": sys.version.split()[0], "numpy": np.__version__,
-            "scipy": scipy.__version__, "blas": blas.get("name"),
+            "scipy": metadata.version("scipy"), "blas": blas.get("name"),
             "blas_version": blas.get("version"), "blas_threads": _openblas_threads()}
 
 
@@ -253,12 +254,8 @@ def cmd_finetune(args) -> int:
 def cmd_eval(args) -> int:
     model = load_checkpoint(args.model)
     raw = load_run_config(args.config) if args.config else {}
-    if not args.task and model.task_spec:
-        try:
-            task = TaskSpec.from_dict(model.task_spec)
-        except ConfigError as e:
-            raise CorruptConfigError(f"manifest task_spec: {e}") from e
-    else:
+    task = None if args.task else stored_task_spec(model)
+    if task is None:
         task = _task_from_args(args, raw)
     data_spec = DatasetSpec.from_dict(raw.get("data", {}))
     stats = _load_stats(args.model)

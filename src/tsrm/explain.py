@@ -19,6 +19,7 @@ import numpy as np
 
 from .autodiff import _scatter, no_grad
 from .errors import ConfigError, DataError
+from .finetune import stored_task_spec
 from .model import MISSING_TOKEN, TsrmModel
 
 logger = logging.getLogger("tsrm.explain")
@@ -93,8 +94,9 @@ def export_attention(model: TsrmModel, values: np.ndarray, observed: np.ndarray,
 
     filled = np.nan_to_num(values, nan=0.0).astype(np.float32)
     visible = observed.copy()
-    if model.task == "forecast" and model.task_spec:
-        visible[model.task_spec["input_len"]:] = False
+    task = stored_task_spec(model) if model.task == "forecast" else None
+    if task is not None:
+        visible[task.input_len:] = False
     model_input = np.where(visible, filled, MISSING_TOKEN).astype(np.float32)
 
     with no_grad():

@@ -19,7 +19,7 @@ import numpy as np
 from .autodiff import Tensor, bce_with_logits, no_grad, softmax_cross_entropy
 from .config import Section
 from .data import WindowedDataset
-from .errors import ConfigError, DataError
+from .errors import ConfigError, CorruptConfigError, DataError
 from .model import MISSING_TOKEN, TASK_KINDS, ForwardTrace, TsrmModel, rebuild_for_window
 from .pretraining import build_model_input, generate_mask, masked_mse_weights
 
@@ -64,6 +64,18 @@ class TaskSpec(Section):
         if self.kind in ("forecast", "impute"):
             return lambda name: name.startswith(_AC_PREFIX)
         return lambda name: name.startswith(_SEQUENCE_PREFIXES)
+
+
+def stored_task_spec(model: TsrmModel) -> Optional[TaskSpec]:
+    """The task a loaded model was fine-tuned for, decoded from its manifest;
+    None when it holds none. A task_spec that does not decode is a corrupt
+    checkpoint."""
+    if not model.task_spec:
+        return None
+    try:
+        return TaskSpec.from_dict(model.task_spec)
+    except ConfigError as e:
+        raise CorruptConfigError(f"manifest task_spec: {e}") from e
 
 
 def prepare_finetune(model: TsrmModel, task: TaskSpec, seed: int = 0) -> TsrmModel:

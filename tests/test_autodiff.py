@@ -6,11 +6,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import special
 
 from tsrm.autodiff import (
     Adam,
     Parameter,
     Tensor,
+    _erf,
     adaptive_maxpool1d,
     add,
     bce_with_logits,
@@ -604,6 +606,73 @@ class TestActivations:
         np.testing.assert_allclose(s.data.sum(axis=-1), 1.0, atol=1e-12)
 
 
+def float32_bits(lo: int, hi: int, step: int = 1) -> np.ndarray:
+    """The float32 values of the bit patterns lo, lo + step, ... below hi."""
+    return np.arange(lo, hi, step, dtype=np.uint32).view(np.float32)
+
+
+def assert_erf_matches_scipy_bitwise(t: np.ndarray):
+    expected = special.erf(t)
+    actual = _erf(t.copy())
+    nan = np.isnan(t)
+    assert np.isnan(actual[nan]).all()
+    same = actual[~nan].view(np.uint32) == expected[~nan].view(np.uint32)
+    assert same.all(), f"{(~same).sum()} mismatches, first at {t[~nan][~same][:5]}"
+
+
+class TestErf:
+    """The numpy port of Cephes' erf against scipy.special.erf, which
+    evaluates the same rational approximations in C."""
+
+    def test_float32_bitwise_on_every_256th_bit_pattern(self):
+        # 2**24 values spread over every exponent, both signs, NaN and inf.
+        # Signalling-NaN patterns raise "invalid" when cast to float64; gelu
+        # only ever passes a product, whose NaNs are quiet.
+        with np.errstate(invalid="ignore"):
+            for lo in range(0, 2 ** 32, 2 ** 28):
+                assert_erf_matches_scipy_bitwise(float32_bits(lo, lo + 2 ** 28, 256))
+
+    def test_float32_bitwise_on_edge_values(self):
+        f32 = np.float32
+        tiny = np.finfo(f32).smallest_normal
+        one = f32(1.0)
+        edges = np.array([0.0, np.finfo(f32).smallest_subnormal, tiny, np.nextafter(tiny, f32(0)),
+                          np.nextafter(one, f32(0)), one, np.nextafter(one, f32(2)),
+                          np.finfo(f32).max, np.inf, np.nan], dtype=f32)
+        assert_erf_matches_scipy_bitwise(np.concatenate([edges, -edges]))
+        assert_erf_matches_scipy_bitwise(float32_bits(1, 2 ** 23, 97))          # subnormals
+        # every value from 3.92, near which erf rounds to 1 in float32, up to 6,
+        # where the outer branch stops evaluating its polynomials
+        span = float32_bits(int(f32(3.92).view(np.uint32)), int(f32(6.0).view(np.uint32)) + 1)
+        assert_erf_matches_scipy_bitwise(np.concatenate([span, -span]))
+
+    def test_float64_within_one_ulp(self):
+        rng = np.random.default_rng(0)
+        t = np.concatenate([10.0 ** rng.uniform(-310, 3, 200_000), rng.uniform(0, 7, 200_000),
+                            [1.0, np.nextafter(1.0, 0), np.nextafter(1.0, 2), 6.0, 5e-324]])
+        t = np.concatenate([t, -t])
+        expected = special.erf(t)
+        assert (np.abs(_erf(t.copy()) - expected) <= np.spacing(np.abs(expected))).all()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_huge_inputs_raise_no_floating_point_error(self, dtype):
+        big = np.finfo(dtype).max
+        t = np.array([big, -big, big / 2, 1e30, -1e30, np.inf, -np.inf], dtype=dtype)
+        with np.errstate(all="raise"):
+            assert (_erf(t) == np.sign(t)).all()
+
+    def test_blocks_cover_arrays_of_any_size_and_layout(self):
+        # several blocks, a partial last one, and a transposed layout
+        t = np.random.default_rng(1).standard_normal((3, 2 ** 15 + 5)).astype(np.float32).T
+        assert_bitwise(_erf(t.copy(order="K")), special.erf(t))
+        assert _erf(np.empty((0, 4), dtype=np.float32)).shape == (0, 4)
+
+    def test_gelu_keeps_the_input_layout(self):
+        x = np.random.default_rng(2).standard_normal((4, 6)).astype(np.float32).T
+        out = gelu(Tensor(x)).data
+        assert out.dtype == np.float32 and out.strides == x.strides
+
+
 class TestDropout:
     def test_p_zero_is_identity(self):
         x = Tensor(np.ones((3, 3)))
@@ -685,6 +754,28 @@ class TestFullConv1d:
             alone = run(x[f], w[f], b[f], g[f])
             for got, want in zip(grouped, alone):
                 np.testing.assert_array_equal(got[f], want)
+
+    @pytest.mark.parametrize("lead,B,Cin,Cout,k,L,stride", [
+        ((), 2, 3, 4, 3, 10, 2), ((7,), 8, 2, 16, 7, 47, 2), ((3,), 1, 16, 4, 3, 11, 2),
+        ((1,), 1, 2, 16, 7, 7, 1), ((), 2, 1, 1, 1, 9, 1), ((2,), 3, 1, 5, 1, 6, 3)])
+    def test_matches_unplanned_einsum(self, lead, B, Cin, Cout, k, L, stride):
+        rng = np.random.default_rng(19)
+        x, w, b = (Tensor(rng.standard_normal(shape), requires_grad=True)
+                   for shape in (lead + (B, Cin, L), lead + (Cout, Cin, k), lead + (Cout,)))
+        out = conv1d(x, w, b, stride=stride)
+        g = rng.standard_normal(out.shape)
+        out.backward(g)
+        idx = np.arange(out.shape[-1])[:, None] * stride + np.arange(k)
+        windows = x.data[..., idx]
+        gw = np.einsum("...bol,...oik->...bilk", g, w.data)
+        gx = np.zeros_like(x.data)
+        np.add.at(gx, (..., idx), gw)
+        for got, want in [
+                (out.data, np.einsum("...bilk,...oik->...bol", windows, w.data)
+                 + b.data[..., None, :, None]),
+                (x.grad, gx), (w.grad, np.einsum("...bol,...bilk->...oik", g, windows)),
+                (b.grad, g.sum(axis=(-3, -1)))]:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_group_axes_must_agree(self):
         with pytest.raises(ConfigError, match="group axes and input channels"):

@@ -4,6 +4,8 @@ import csv
 import hashlib
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -47,6 +49,16 @@ def workspace(tmp_path):
 
 def run(argv):
     return main(argv)
+
+
+@pytest.mark.parametrize("module", ["tsrm", "tsrm.cli"])
+def test_import_loads_no_scipy(module):
+    # scipy.special alone took 0.24 s and 25 MB to import; nothing in tsrm needs it
+    probe = (f"import sys, {module}; "
+             "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.strip() == "[]"
 
 
 class TestUsageErrors:
@@ -399,6 +411,45 @@ class TestExplainCommand:
         assert any(p.endswith(".svg") for p in payload["written"])
         lines = (out / "attention_feature_0.csv").read_text().splitlines()
         assert len(lines) == 25
+
+    @staticmethod
+    def forecast_checkpoint_with_task_spec(tmp_path, task_spec):
+        """A forecast model (input_len 96, horizon 4) saved with task_spec
+        replaced in its manifest, and a CSV of one window for it."""
+        from tsrm.finetune import TaskSpec, prepare_finetune
+        from tsrm.model import ModelConfig, TsrmModel, save_checkpoint
+        cfg = ModelConfig(T=24, F=1, f_embed=4, n_layers=1, heads=2,
+                          branches=[{"kernel": 3, "dilation": 1}], dropout_p=0.0)
+        model = prepare_finetune(TsrmModel(cfg, seed=0),
+                                 TaskSpec("forecast", horizon=4, input_len=96))
+        save_checkpoint(model, tmp_path / "m")
+        manifest = json.loads((tmp_path / "m" / "manifest.json").read_text())
+        manifest["task_spec"] = task_spec
+        (tmp_path / "m" / "manifest.json").write_text(json.dumps(manifest))
+        return tmp_path / "m", write_sine_csv(tmp_path / "series.csv", n_rows=100)
+
+    def test_forecast_manifest_without_input_len_hides_the_default_horizon(self, tmp_path,
+                                                                           capsys):
+        # decoded as `tsrm eval` decodes it: input_len takes its default, 96
+        model_dir, csv_path = self.forecast_checkpoint_with_task_spec(
+            tmp_path, {"kind": "forecast", "horizon": 4})
+        code = run(["explain", "--model", str(model_dir), "--input-csv", str(csv_path),
+                    "--sample", "0", "--out", str(tmp_path / "x")])
+        assert code == 0
+        with open(tmp_path / "x" / "attention_feature_0.csv", newline="") as fh:
+            inputs = [float(row["input_value"]) for row in csv.DictReader(fh)]
+        assert len(inputs) == 100
+        assert all(v != -1.0 for v in inputs[:96]) and all(v == -1.0 for v in inputs[96:])
+
+    def test_malformed_forecast_task_spec_exits_with_runtime_code(self, tmp_path, capsys,
+                                                                  caplog):
+        model_dir, csv_path = self.forecast_checkpoint_with_task_spec(
+            tmp_path, {"kind": "forecast", "horizon": "4"})
+        code = run(["explain", "--model", str(model_dir), "--input-csv", str(csv_path),
+                    "--sample", "0", "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert capsys.readouterr().out == ""
+        assert "manifest task_spec" in caplog.text
 
     def test_sample_out_of_range(self, workspace, capsys):
         tmp, csv_path, cfg_path = workspace
