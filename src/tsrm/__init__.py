@@ -35,7 +35,6 @@ from .pretraining import (
 )
 from .finetune import (
     TaskSpec,
-    build_forecast_input,
     evaluate_task,
     finetune_loss,
     prepare_finetune,
@@ -53,7 +52,6 @@ from .trainer import (
     FinetuneObjective,
     PretrainObjective,
     TrainConfig,
-    early_stop_check,
     train,
 )
 from .explain import backmap, backmapped_layers, export_attention

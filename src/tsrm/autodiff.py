@@ -53,7 +53,6 @@ __all__ = [
     "bce_with_logits",
     "softmax_cross_entropy",
     "kaiming_uniform",
-    "global_grad_norm",
     "clip_grad_norm",
 ]
 
@@ -400,12 +399,9 @@ def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
     data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g):
-        if axis is None:
-            a._accumulate(np.broadcast_to(g, a.data.shape).copy())
-        else:
-            if not keepdims:
-                g = np.expand_dims(g, axis)
-            a._accumulate(np.broadcast_to(g, a.data.shape).copy())
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        a._accumulate(np.broadcast_to(g, a.data.shape).copy())
 
     return _make(data, (a,), backward, "sum")
 
@@ -846,16 +842,14 @@ class Parameter:
     def __init__(self, name: str, tensor: Tensor, frozen: bool = False):
         self.name = name
         self.tensor = tensor
-        self.tensor.requires_grad = not frozen
-        self._frozen = frozen
+        self.frozen = frozen
 
     @property
     def frozen(self) -> bool:
-        return self._frozen
+        return not self.tensor.requires_grad
 
     @frozen.setter
     def frozen(self, value: bool) -> None:
-        self._frozen = value
         self.tensor.requires_grad = not value
         if value:
             self.tensor.grad = None
@@ -915,18 +909,15 @@ class Adam:
             p.tensor.data = p.tensor.data - update
 
 
-def global_grad_norm(params: Iterable[Parameter]) -> float:
+def clip_grad_norm(params: Iterable[Parameter], max_norm: float) -> float:
+    """Scale all gradients so their global norm is at most max_norm; returns
+    the norm before scaling, summed per parameter in float64."""
+    params = list(params)
     total = 0.0
     for p in params:
         if p.tensor.grad is not None:
             total += float((p.tensor.grad.astype(np.float64) ** 2).sum())
-    return math.sqrt(total)
-
-
-def clip_grad_norm(params: Iterable[Parameter], max_norm: float) -> float:
-    """Scale all gradients so their global norm is at most max_norm."""
-    params = list(params)
-    norm = global_grad_norm(params)
+    norm = math.sqrt(total)
     if norm > max_norm and norm > 0:
         scale = max_norm / norm
         for p in params:

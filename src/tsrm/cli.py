@@ -142,10 +142,15 @@ def _openblas_threads():
 
 def _environment() -> dict:
     """Library versions and BLAS threading, recorded with every run. scipy's
-    version is read from its installed metadata: tsrm never imports scipy."""
+    version is read from its installed metadata, null when it is not
+    installed: tsrm never imports scipy, only the tests do."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    try:
+        scipy_version = metadata.version("scipy")
+    except metadata.PackageNotFoundError:
+        scipy_version = None
     return {"python": sys.version.split()[0], "numpy": np.__version__,
-            "scipy": metadata.version("scipy"), "blas": blas.get("name"),
+            "scipy": scipy_version, "blas": blas.get("name"),
             "blas_version": blas.get("version"), "blas_threads": _openblas_threads()}
 
 

@@ -140,7 +140,10 @@ def load_csv(path, feature_columns: Optional[list] = None,
         for r, row in enumerate(rows):
             cell = row[j].strip() if j < len(row) else ""
             try:
-                labels[r] = int(float(cell))
+                label = float(cell)
+                if not label.is_integer():
+                    raise ValueError(cell)
+                labels[r] = int(label)
             except (ValueError, OverflowError):
                 raise DataError(
                     f"{path}: unparseable label {cell!r} at row {r + 2}"
@@ -193,10 +196,6 @@ def normalize(values: np.ndarray, stats: NormStats):
     return out, clamped
 
 
-def denormalize(values: np.ndarray, stats: NormStats) -> np.ndarray:
-    return values * (stats.maxs - stats.mins) + stats.mins
-
-
 def window(series: np.ndarray, T: int, stride: int,
            labels: Optional[np.ndarray] = None) -> WindowedDataset:
     """Cut overlapping windows; windows with > MAX_MISSING_FRACTION missing
@@ -223,10 +222,6 @@ def window(series: np.ndarray, T: int, stride: int,
         raise DataError("no usable windows (empty dataset after filtering)")
     return WindowedDataset(np.stack(keep_values),
                            np.asarray(keep_labels) if labels is not None else None)
-
-
-def expected_window_count(n: int, T: int, stride: int) -> int:
-    return (n - T) // stride + 1 if n >= T else 0
 
 
 def synth_dataset(kind: str, T: int, F: int, n: int, seed: int = 0) -> WindowedDataset:

@@ -20,7 +20,7 @@ import numpy as np
 from .autodiff import _scatter, no_grad
 from .errors import ConfigError, DataError
 from .finetune import stored_task_spec
-from .model import MISSING_TOKEN, TsrmModel
+from .model import TsrmModel, build_model_input
 
 logger = logging.getLogger("tsrm.explain")
 
@@ -92,12 +92,11 @@ def export_attention(model: TsrmModel, values: np.ndarray, observed: np.ndarray,
     except OSError as e:
         raise DataError(f"cannot create output directory {out_dir}: {e}") from e
 
-    filled = np.nan_to_num(values, nan=0.0).astype(np.float32)
-    visible = observed.copy()
+    hidden = np.zeros(values.shape, dtype=bool)
     task = stored_task_spec(model) if model.task == "forecast" else None
     if task is not None:
-        visible[task.input_len:] = False
-    model_input = np.where(visible, filled, MISSING_TOKEN).astype(np.float32)
+        hidden[task.input_len:] = True
+    model_input = build_model_input(values, observed, hidden)
 
     with no_grad():
         trace = model.forward(model_input[None])

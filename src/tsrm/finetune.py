@@ -20,8 +20,8 @@ from .autodiff import Tensor, bce_with_logits, no_grad, softmax_cross_entropy
 from .config import Section
 from .data import WindowedDataset
 from .errors import ConfigError, CorruptConfigError, DataError
-from .model import MISSING_TOKEN, TASK_KINDS, ForwardTrace, TsrmModel, rebuild_for_window
-from .pretraining import build_model_input, generate_mask, masked_mse_weights
+from .model import TASK_KINDS, ForwardTrace, TsrmModel, build_model_input, rebuild_for_window
+from .pretraining import generate_mask, masked_mse_weights
 
 logger = logging.getLogger("tsrm.finetune")
 
@@ -101,13 +101,6 @@ def prepare_finetune(model: TsrmModel, task: TaskSpec, seed: int = 0) -> TsrmMod
     return model
 
 
-def build_forecast_input(history: np.ndarray, horizon: int) -> np.ndarray:
-    """Concatenate a (already -1 tokenized) history with horizon rows of -1."""
-    history = np.asarray(history, dtype=np.float32)
-    pad = np.full((horizon, history.shape[1]), MISSING_TOKEN, dtype=np.float32)
-    return np.concatenate([history, pad], axis=0)
-
-
 @dataclass
 class FinetuneBatch:
     model_input: np.ndarray              # [B, T, F]
@@ -125,9 +118,7 @@ def build_forecast_batch(windows: np.ndarray, observed: np.ndarray,
     values = np.nan_to_num(windows, nan=0.0).astype(np.float32)
     horizon_mask = np.zeros((B, T, F), dtype=bool)
     horizon_mask[:, task.input_len:] = observed[:, task.input_len:]
-    visible = observed.copy()
-    visible[:, task.input_len:] = False
-    model_input = np.where(visible, values, MISSING_TOKEN).astype(np.float32)
+    model_input = build_model_input(values, observed, horizon_mask)
     return FinetuneBatch(model_input=model_input, values=values, mask=horizon_mask)
 
 
@@ -147,7 +138,7 @@ def build_impute_batch(windows: np.ndarray, observed: np.ndarray,
 def build_classify_batch(windows: np.ndarray, observed: np.ndarray,
                          labels: np.ndarray) -> FinetuneBatch:
     values = np.nan_to_num(windows, nan=0.0).astype(np.float32)
-    model_input = np.where(observed, values, MISSING_TOKEN).astype(np.float32)
+    model_input = build_model_input(values, observed, np.zeros_like(observed))
     return FinetuneBatch(model_input=model_input, values=values, labels=labels)
 
 

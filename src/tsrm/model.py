@@ -56,6 +56,17 @@ CHECKPOINT_VERSION = 1
 # in [0, 1], so it never occurs naturally
 MISSING_TOKEN = -1.0
 
+
+def build_model_input(values: np.ndarray, observed: np.ndarray,
+                      hidden: np.ndarray) -> np.ndarray:
+    """-1 token everywhere the model must not see the value: where it is not
+    observed and where ``hidden`` (an evaluation mask or a forecast horizon)
+    hides it."""
+    visible = observed & ~hidden
+    out = np.where(visible, np.nan_to_num(values, nan=0.0), MISSING_TOKEN)
+    return out.astype(np.float32)
+
+
 TASK_KINDS = ("forecast", "impute", "classify")
 
 # attention-map classifier trunk dimensions (recorded in the effective
@@ -111,7 +122,7 @@ class BranchSpec(Section):
         conv_len = (T - k_eff) // s + 1
         pool_k = min(2, conv_len)
         pool_len = (conv_len - pool_k) // pool_k + 1
-        return ResolvedBranch(k=k, dilation=self.dilation, stride=s, k_eff=k_eff,
+        return ResolvedBranch(k=k, dilation=self.dilation, stride=s,
                               conv_len=conv_len, pool_k=pool_k, pool_len=pool_len)
 
     def to_dict(self) -> dict:
@@ -123,7 +134,6 @@ class ResolvedBranch:
     k: int
     dilation: int
     stride: int
-    k_eff: int
     conv_len: int
     pool_k: int
     pool_len: int
@@ -325,8 +335,7 @@ class TsrmModel:
     # -- construction --------------------------------------------------------
 
     def _add(self, name: str, data: np.ndarray) -> None:
-        self.params[name] = Parameter(name, Tensor(np.asarray(data, dtype=self.dtype),
-                                                   requires_grad=True))
+        self.params[name] = Parameter(name, Tensor(np.asarray(data, dtype=self.dtype)))
 
     def _init_params(self, rng: np.random.Generator) -> None:
         for name, shape, init in parameter_table(self.config):
@@ -484,21 +493,6 @@ class TsrmModel:
             feature_scores=feature_scores.data.copy(),
         )
 
-    # -- persistence -----------------------------------------------------------
-
-    def state_arrays(self) -> dict:
-        return {name: p.data for name, p in self.params.items()}
-
-    def load_state(self, arrays: dict) -> None:
-        for name, p in self.params.items():
-            if name not in arrays:
-                raise ShapeMismatchError(f"missing parameter {name}")
-            a = np.asarray(arrays[name], dtype=self.dtype)
-            if a.shape != p.data.shape:
-                raise ShapeMismatchError(
-                    f"parameter {name}: expected shape {p.data.shape}, got {a.shape}")
-            p.tensor.data = a.copy()
-
 
 def save_checkpoint(model: TsrmModel, directory) -> None:
     """Write manifest.json plus params.bin (little-endian float32 blobs).
@@ -593,7 +587,7 @@ def load_checkpoint(directory) -> TsrmModel:
                 f"parameter {name}: offset {offset!r} does not place it inside params.bin")
         ranges.append((offset, offset + size))
         data = flat[offset: offset + size].reshape(shape)
-        model.params[name] = Parameter(name, Tensor(data.astype(np.float32), requires_grad=True))
+        model.params[name] = Parameter(name, Tensor(data.astype(np.float32)))
     covered = 0
     for lo, hi in sorted(ranges):  # the ranges must tile params.bin, each float read once
         if lo != covered:

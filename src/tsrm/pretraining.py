@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, bce_with_logits
-from .errors import ConfigError
-from .model import MISSING_TOKEN, ForwardTrace
+from .errors import ConfigError, DataError
+from .model import MISSING_TOKEN, ForwardTrace, build_model_input
 
 MASK_FRACTION_RANGE = (0.30, 0.50)
 SUBSET_FRACTION_RANGE = (0.05, 0.10)
@@ -125,14 +125,6 @@ class LossBreakdown:
                 "l_class": self.l_class, "total": self.total}
 
 
-def build_model_input(values: np.ndarray, observed: np.ndarray,
-                      eval_mask: np.ndarray) -> np.ndarray:
-    """-1 token everywhere the model must not see the value."""
-    visible = observed & ~eval_mask
-    out = np.where(visible, np.nan_to_num(values, nan=0.0), MISSING_TOKEN)
-    return out.astype(np.float32)
-
-
 def build_pretrain_batch(values: np.ndarray, observed: np.ndarray,
                          rng: np.random.Generator,
                          per_feature: bool = False) -> PretrainBatch:
@@ -177,12 +169,23 @@ def pretrain_loss(trace: ForwardTrace, batch: PretrainBatch,
     cross-entropy of the validity logit. For invalid candidates the
     reconstruction and imputation terms are zeroed so the model cannot
     learn from out-of-category values. Returns (loss Tensor, LossBreakdown).
+
+    Raises DataError for a batch that breaks the masking invariants: validity
+    other than 0 or 1, an eval mask off the observed positions, or a model
+    input that shows a value the mask or a missing observation hides.
     """
     if trace.output.shape != batch.values.shape:
         raise ConfigError(f"output {trace.output.shape} vs targets {batch.values.shape}")
     if trace.class_logits.shape[-1] != 1:
         raise ConfigError(f"pretraining scores validity with one logit, the model has "
                           f"{trace.class_logits.shape[-1]} (num_classes must be 1)")
+    if ((batch.validity != 0) & (batch.validity != 1)).any():
+        raise DataError(f"validity must be 0 or 1, got {np.unique(batch.validity)}")
+    if (batch.eval_mask & ~batch.observed).any():
+        raise DataError("eval mask covers unobserved positions")
+    if (batch.model_input[batch.eval_mask | ~batch.observed] != MISSING_TOKEN).any():
+        raise DataError(f"model input shows values at masked or unobserved positions, "
+                        f"which must hold {MISSING_TOKEN:g}")
     repr_mask = batch.observed & ~batch.eval_mask
     diff = trace.output - Tensor(batch.values)
     se = diff * diff

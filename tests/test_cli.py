@@ -158,6 +158,22 @@ class TestPretrainCommand:
         threads = env["blas_threads"]
         assert threads is None or (isinstance(threads, int) and threads >= 1)
 
+    def test_runs_without_scipy_installed(self, workspace, capsys, monkeypatch):
+        def version(name):
+            if name == "scipy":
+                raise cli.metadata.PackageNotFoundError(name)
+            return real_version(name)
+
+        real_version = cli.metadata.version
+        monkeypatch.setattr(cli.metadata, "version", version)
+        tmp, csv_path, cfg_path = workspace
+        out = tmp / "run"
+        assert run(["pretrain", "--config", str(cfg_path),
+                    "--train-csv", str(csv_path), "--out", str(out)]) == 0
+        effective = json.loads((out / "effective_config.json").read_text())
+        assert effective["environment"]["scipy"] is None
+        assert json.loads(capsys.readouterr().out)["best_epoch"] >= 0
+
     def test_seed_repetition_reproduces_params(self, workspace, capsys):
         tmp, csv_path, cfg_path = workspace
         hashes = []

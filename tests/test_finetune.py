@@ -14,7 +14,6 @@ from tsrm.finetune import (
     TaskSpec,
     build_classify_batch,
     build_forecast_batch,
-    build_forecast_input,
     build_impute_batch,
     evaluate_task,
     finetune_loss,
@@ -154,17 +153,6 @@ class TestFreezeInvariance:
 
 
 class TestForecastInput:
-    def test_zero_horizon_is_identity(self):
-        history = np.random.default_rng(5).random((96, 2)).astype(np.float32)
-        np.testing.assert_array_equal(build_forecast_input(history, 0), history)
-
-    def test_long_horizon_padding(self):
-        history = np.random.default_rng(6).random((96, 1)).astype(np.float32)
-        out = build_forecast_input(history, 192)
-        assert out.shape == (288, 1)
-        np.testing.assert_array_equal(out[96:], -1.0)
-        np.testing.assert_array_equal(out[:96], history)
-
     def test_batch_builder_marks_horizon(self):
         task = TaskSpec("forecast", horizon=4, input_len=20)
         values = np.random.default_rng(7).random((3, 24, 2)).astype(np.float32)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tsrm.autodiff import Tensor
-from tsrm.errors import ConfigError
+from tsrm.errors import ConfigError, DataError
 from tsrm.model import ForwardTrace, ModelConfig
 from tsrm.pretraining import (
     LossBreakdown,
@@ -238,6 +238,32 @@ class TestPretrainLoss:
         trace = fabricated_trace(np.zeros((1, 20, 1)), np.zeros((1, 3)))
         with pytest.raises(ConfigError, match="num_classes must be 1"):
             pretrain_loss(trace, self.batch(), *WEIGHTS)
+
+    def test_validity_other_than_zero_or_one_rejected(self):
+        # the loss would weight the reconstruction terms by it and score a
+        # BCE target outside [0, 1], which can go negative
+        batch = self.batch(B=2)
+        batch.validity = np.array([0.5, 3.0], dtype=np.float32)
+        trace = fabricated_trace(np.ones((2, 20, 1)), np.zeros((2, 1)))
+        with pytest.raises(DataError, match="validity must be 0 or 1"):
+            pretrain_loss(trace, batch, *WEIGHTS)
+
+    def test_eval_mask_on_unobserved_positions_rejected(self):
+        batch = self.batch()
+        batch.observed[:, :4] = False  # inside the eval mask, still -1 in the input
+        trace = fabricated_trace(np.ones((1, 20, 1)), np.zeros((1, 1)))
+        with pytest.raises(DataError, match="eval mask covers unobserved"):
+            pretrain_loss(trace, batch, *WEIGHTS)
+
+    @pytest.mark.parametrize("position", [3, 15])  # masked, then unobserved
+    def test_value_left_visible_where_hidden_rejected(self, position):
+        batch = self.batch()
+        batch.observed[:, 15] = False
+        batch.model_input[:, 15] = -1.0
+        batch.model_input[:, position] = 0.5
+        trace = fabricated_trace(np.ones((1, 20, 1)), np.zeros((1, 1)))
+        with pytest.raises(DataError, match="model input shows values"):
+            pretrain_loss(trace, batch, *WEIGHTS)
 
     def test_perfect_prediction_drives_loss_to_zero(self):
         batch = self.batch()
