@@ -8,7 +8,11 @@ rows over all D keys only for the u queries of each slice with the highest
 max-minus-mean score, and hands every other query the mean of the values
 (the output of a uniform row). Only the selected rows enter the autodiff
 graph: its scores, weights and their gradients are [..., u, D], not
-[..., D, D].
+[..., D, D]. The sampled scores that rank the queries are laid out
+[..., u, D] as well, sample j of every query in one contiguous row; their
+mean adds each query's u samples in the order numpy's pairwise sum of a
+contiguous row would, so the ranking is the same bit for bit as over a
+[..., D, u] layout (``_top_queries``).
 
 All three kinds share one body, ``_attend``, and one contract: they return
 the values and the row-stochastic weights of the rows they computed,
@@ -124,6 +128,46 @@ def probsparse_top_u(D: int, c: float) -> int:
     return min(D, math.ceil(c * math.log(D))) if D > 1 else 1
 
 
+def _sum_like_rows(a: np.ndarray) -> np.ndarray:
+    """Sum of a [..., n, D] over its n axis, added in the order numpy's
+    pairwise summation adds a contiguous row of n: up to 128 elements in 8
+    lanes (element i into lane i mod 8), the lanes as ((0+1)+(2+3))+((4+5)+(6+7)),
+    then the n mod 8 tail in turn; fewer than 8 in turn; longer rows split
+    in two at a multiple of 8 (Higham 1993). Each step adds whole [..., D]
+    slices, so no reduction runs over a short innermost axis."""
+    n = a.shape[-2]
+    if n < 8:
+        return a.sum(axis=-2)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _sum_like_rows(a[..., :half, :]) + _sum_like_rows(a[..., half:, :])
+    m = n - n % 8
+    r = a[..., :m, :].reshape(a.shape[:-2] + (m // 8, 8, a.shape[-1])).sum(axis=-3)
+    total = (r[..., 0, :] + r[..., 1, :] + (r[..., 2, :] + r[..., 3, :])
+             + (r[..., 4, :] + r[..., 5, :] + (r[..., 6, :] + r[..., 7, :])))
+    for i in range(m, n):
+        total += a[..., i, :]
+    return total
+
+
+def _top_u(score: np.ndarray, u: int) -> np.ndarray:
+    """Indices [..., u] of the u largest entries of each row of score
+    [..., D], largest first and equal scores by index: the first u of a
+    stable argsort of -score, without sorting all D. The row takes every
+    entry above the u-th largest value and then the entries equal to it in
+    index order; only those u are sorted."""
+    neg = -score
+    kth = np.partition(neg, u - 1, axis=-1)[..., u - 1:u]
+    if np.isnan(kth).any():          # fewer than u numbers: NaNs rank last, as in argsort
+        return np.argsort(neg, axis=-1, kind="stable")[..., :u]
+    above = neg < kth
+    tied = neg == kth
+    tied &= np.cumsum(tied, axis=-1) <= u - np.count_nonzero(above, axis=-1, keepdims=True)
+    chosen = np.nonzero(above | tied)[-1].reshape(score.shape[:-1] + (u,))
+    order = np.argsort(np.take_along_axis(neg, chosen, axis=-1), axis=-1, kind="stable")
+    return np.take_along_axis(chosen, order, axis=-1)
+
+
 def _top_queries(q: np.ndarray, k: np.ndarray, u: int, rng: np.random.Generator) -> np.ndarray:
     """Indices [..., u] of the u queries of each slice with the highest
     sparsity score, max - mean of its scaled scores against u sampled keys.
@@ -136,19 +180,26 @@ def _top_queries(q: np.ndarray, k: np.ndarray, u: int, rng: np.random.Generator)
     are read: the whole stack's [..., D, D] product, plus the C-ordered copy
     ``np.take`` makes of it, took 2 x 97 MB at B=64, F=7, D=168 and set an
     eval forward's peak memory.
+
+    The samples are laid out [..., u, D], sample j of every query in one
+    contiguous row, so the max and the mean reduce over an outer axis
+    instead of a short innermost one. The mean adds the u samples of a
+    query in the order ``mean(axis=-1)`` of a [..., D, u] layout does
+    (``_sum_like_rows``), so every score, and with it the selected queries
+    and their order, is the same bit for bit as that of the [..., D, u]
+    layout.
     """
     D, d_h = q.shape[-2:]
     keys = np.argsort(rng.random((D, D)), axis=-1)[:, :u]               # [D, u]
-    flat = keys + D * np.arange(D)[:, None]
+    flat = (keys + D * np.arange(D)[:, None]).T                         # [u, D]
     lead = q.shape[:-2]
-    sampled = np.empty(lead + (D, u), dtype=np.result_type(q, k))      # [..., D, u]
+    sampled = np.empty(lead + (u, D), dtype=np.result_type(q, k))      # [..., u, D]
     for s in np.ndindex(lead[:1]):                   # the whole array when q is [D, d_h]
         # one expression, so the slice's product is freed before the next one is made
         sampled[s] = np.take((q[s] @ np.swapaxes(k[s], -1, -2)).reshape(lead[1:] + (D * D,)),
                              flat, axis=-1)
     sampled *= np.asarray(1.0 / math.sqrt(d_h), dtype=sampled.dtype)
-    sparsity = sampled.max(axis=-1) - sampled.mean(axis=-1)
-    return np.argsort(-sparsity, axis=-1, kind="stable")[..., :u]
+    return _top_u(sampled.max(axis=-2) - _sum_like_rows(sampled) / u, u)
 
 
 def _take_rows(x: Tensor, index: np.ndarray) -> Tensor:

@@ -597,27 +597,41 @@ def _taps(k: int, d: int, s: int, n_long: int, n_short: int):
         yield j, slice(j * d, j * d + (m - 1) * s + 1, s), m
 
 
+def _channels_last(a: np.ndarray) -> np.ndarray:
+    """[..., C, L] as [..., L, C] with contiguous channel rows: a view when
+    the array already lies channels-last, as the model's [B, T, C] arrays do."""
+    t = np.swapaxes(a, -1, -2)
+    return t if t.strides[-1] == t.itemsize else np.ascontiguousarray(t)
+
+
 def _gather(long: np.ndarray, kernel: np.ndarray, d: int, s: int, n: int) -> np.ndarray:
-    """out[..., l] = sum_j long[..., j*d + l*s] * kernel[:, j] for l < n; zero past long."""
-    out = np.zeros(long.shape[:-1] + (n,), dtype=long.dtype)
+    """out[..., l] = sum_j long[..., j*d + l*s] * kernel[:, j] for l < n; zero past long.
+
+    Both tap loops run over channels-last memory, one pass over contiguous
+    channel rows per tap, and return a [..., C, n] view of it."""
+    out = np.zeros(long.shape[:-2] + (n, long.shape[-2]), dtype=long.dtype)
+    lt, kt = _channels_last(long), kernel.T.copy()
     for j, tap, m in _taps(kernel.shape[1], d, s, long.shape[-1], n):
-        out[..., :m] += long[..., tap] * kernel[:, j, None]
-    return out
+        out[..., :m, :] += lt[..., tap, :] * kt[j]
+    return np.swapaxes(out, -1, -2)
 
 
 def _scatter(short: np.ndarray, kernel: np.ndarray, d: int, s: int, n: int) -> np.ndarray:
     """The adjoint of _gather, onto a zero long axis of length n; taps past n drop."""
-    out = np.zeros(short.shape[:-1] + (n,), dtype=short.dtype)
+    out = np.zeros(short.shape[:-2] + (n, short.shape[-2]), dtype=short.dtype)
+    st, kt = _channels_last(short), kernel.T.copy()
     for j, tap, m in _taps(kernel.shape[1], d, s, n, short.shape[-1]):
-        out[..., tap] += short[..., :m] * kernel[:, j, None]
-    return out
+        out[..., tap, :] += st[..., :m, :] * kt[j]
+    return np.swapaxes(out, -1, -2)
 
 
 def _kernel_grad(short: np.ndarray, long: np.ndarray, kernel: np.ndarray, d: int, s: int):
-    """Gradient of sum(short * _gather(long, kernel)) in kernel: [C, k]."""
+    """Gradient of sum(short * _gather(long, kernel)) in kernel: [C, k]. Each
+    tap's products are summed C-ordered, so the sum's order does not depend on
+    the layouts in which the conv's input and gradient arrive."""
     gk = np.empty_like(kernel)
     for j, tap, m in _taps(kernel.shape[1], d, s, long.shape[-1], short.shape[-1]):
-        gk[:, j] = (short[..., :m] * long[..., tap]).sum(axis=(0, 2))
+        gk[:, j] = np.multiply(short[..., :m], long[..., tap], order="C").sum(axis=(0, 2))
     return gk
 
 
@@ -634,6 +648,9 @@ def conv1d_depthwise(x: Tensor, kernel: Tensor, bias: Optional[Tensor],
     out = _gather(x.data, kernel.data, dilation, stride, conv_output_length(L, k, dilation, stride))
     if bias is not None:
         out += bias.data[None, :, None]
+    # C-ordered: the first group norm's sums follow its input's layout, which
+    # a channels-last conv output would change
+    out = np.ascontiguousarray(out)
 
     def backward(g):
         if x.requires_grad:
@@ -718,8 +735,9 @@ def conv1d(x: Tensor, weight: Tensor, bias: Optional[Tensor], stride: int = 1) -
 
 
 def _max_over_windows(x: Tensor, idx: np.ndarray, op: str) -> Tensor:
-    """Max of x's last axis over each ascending row of idx [L_out, w]; the
-    gradient goes to each window's first argmax, summed where windows overlap."""
+    """Max of x's last axis over each ascending row of idx [L_out, w], for
+    windows that may overlap; the gradient goes to each window's first argmax,
+    summed where windows overlap."""
     L_out = idx.shape[0]
     windows = x.data[..., idx]                             # [..., L_out, w]
     arg = windows.argmax(axis=-1)                          # first max wins ties
@@ -728,12 +746,37 @@ def _max_over_windows(x: Tensor, idx: np.ndarray, op: str) -> Tensor:
     def backward(g):
         src = idx[np.arange(L_out), arg]                   # absolute argmax positions
         gx = np.zeros(x.data.shape, dtype=x.data.dtype)
-        if (idx[1:, 0] > idx[:-1, -1]).all():  # disjoint windows: one write per position
-            np.put_along_axis(gx, src, g, axis=-1)
-        else:
-            rows = np.arange(src.size // L_out)[:, None]
-            np.add.at(gx.reshape(-1, x.data.shape[-1]), (rows, src.reshape(-1, L_out)),
-                      g.reshape(-1, L_out))
+        rows = np.arange(src.size // L_out)[:, None]
+        np.add.at(gx.reshape(-1, x.data.shape[-1]), (rows, src.reshape(-1, L_out)),
+                  g.reshape(-1, L_out))
+        x._accumulate(gx)
+
+    return _make(out, (x,), backward, op)
+
+
+def _max_over_disjoint(x: Tensor, k: int, stride: int, L_out: int, op: str) -> Tensor:
+    """Max of x's last axis over the windows [l*stride, l*stride + k) with
+    k <= stride, by k - 1 comparisons of whole strided taps from the last
+    tap down: a tap replaces the running max when it is at least as large or
+    NaN, so the first max, or the first NaN, wins as in ``argmax``. Each
+    gradient has one position to go to; the winning taps are only kept when
+    a backward can run."""
+    span = (L_out - 1) * stride + 1
+    taps = [x.data[..., j: j + span: stride] for j in range(k)]
+    out = taps[-1].copy()
+    arg = (np.full(out.shape, k - 1, dtype=np.min_scalar_type(k - 1))
+           if _grad_enabled and x.requires_grad else None)
+    for j in range(k - 2, -1, -1):
+        wins = taps[j] >= out
+        wins |= np.isnan(taps[j])
+        np.copyto(out, taps[j], where=wins)
+        if arg is not None:
+            np.copyto(arg, j, where=wins)
+
+    def backward(g):
+        gx = np.zeros(x.data.shape, dtype=x.data.dtype)
+        for j in range(k):
+            gx[..., j: j + span: stride] = np.where(arg == j, g, 0)
         x._accumulate(gx)
 
     return _make(out, (x,), backward, op)
@@ -744,15 +787,21 @@ def maxpool1d(x: Tensor, k: int, stride: int) -> Tensor:
     L = x.data.shape[-1]
     if k > L:
         raise ConfigError(f"pool kernel {k} exceeds input length {L}")
-    starts = np.arange((L - k) // stride + 1) * stride
+    L_out = (L - k) // stride + 1
+    if k <= stride:
+        return _max_over_disjoint(x, k, stride, L_out, "maxpool1d")
+    starts = np.arange(L_out) * stride
     return _max_over_windows(x, starts[:, None] + np.arange(k), "maxpool1d")
 
 
 def adaptive_maxpool1d(x: Tensor, out_len: int) -> Tensor:
     """Adaptive max pooling of the last axis of [..., L]: window i covers
     [floor(i*L/out), ceil((i+1)*L/out)); gradient routed to the first argmax.
-    Shorter windows repeat their last position, which leaves it in place."""
+    Shorter windows repeat their last position, which leaves it in place.
+    When out divides L the windows are disjoint, L/out long each."""
     L = x.data.shape[-1]
+    if L % out_len == 0:
+        return _max_over_disjoint(x, L // out_len, L // out_len, out_len, "adaptive_maxpool1d")
     i = np.arange(out_len)
     lo = (i * L) // out_len
     hi = -(-((i + 1) * L) // out_len)
@@ -775,10 +824,11 @@ def group_norm(x: Tensor, groups: int, gamma: Tensor, beta: Tensor) -> Tensor:
         raise ConfigError(f"channel count {C} not divisible by {groups} groups")
     w = C // groups
     xg = x.data.reshape(B, L, groups, w)
-    mean = xg.mean(axis=(1, 3), keepdims=True)
-    var = xg.var(axis=(1, 3), keepdims=True)
+    # np.var's steps, on the centred array that xhat is made of
+    xhat = xg - xg.mean(axis=(1, 3), keepdims=True)
+    var = np.square(xhat).sum(axis=(1, 3), keepdims=True) / (L * w)
     inv = 1.0 / np.sqrt(var + GROUP_NORM_EPS)
-    xhat = ((xg - mean) * inv).astype(x.data.dtype)
+    xhat *= inv
     out = xhat.reshape(B, L, C) * gamma.data + beta.data
 
     def backward(g):
@@ -791,7 +841,7 @@ def group_norm(x: Tensor, groups: int, gamma: Tensor, beta: Tensor) -> Tensor:
             m1 = gh.mean(axis=(1, 3), keepdims=True)
             m2 = (gh * xhat).mean(axis=(1, 3), keepdims=True)
             gx = inv * (gh - m1 - xhat * m2)
-            x._accumulate(gx.reshape(B, L, C).astype(x.data.dtype))
+            x._accumulate(gx.reshape(B, L, C).astype(x.data.dtype, copy=False))
 
     return _make(out, (x, gamma, beta), backward, "group_norm")
 

@@ -20,7 +20,8 @@ from .autodiff import Tensor, bce_with_logits, no_grad, softmax_cross_entropy
 from .config import Section
 from .data import WindowedDataset
 from .errors import ConfigError, CorruptConfigError, DataError
-from .model import TASK_KINDS, ForwardTrace, TsrmModel, build_model_input, rebuild_for_window
+from .model import (MISSING_TOKEN, TASK_KINDS, ForwardTrace, TsrmModel, build_model_input,
+                    rebuild_for_window)
 from .pretraining import generate_mask, masked_mse_weights
 
 logger = logging.getLogger("tsrm.finetune")
@@ -143,10 +144,16 @@ def build_classify_batch(windows: np.ndarray, observed: np.ndarray,
 
 
 def finetune_loss(trace: ForwardTrace, batch: FinetuneBatch, task: TaskSpec) -> Tensor:
-    """Task-focused loss; every other pretraining term is weighted zero."""
+    """Task-focused loss; every other pretraining term is weighted zero.
+
+    Raises DataError for a forecast or impute batch whose model input shows
+    a target value: every target position must hold the missing token."""
     if task.kind in ("forecast", "impute"):
         if batch.mask is None or not batch.mask.any():
             raise ConfigError(f"{task.kind} loss has no target positions")
+        if (batch.model_input[batch.mask] != MISSING_TOKEN).any():
+            raise DataError(f"{task.kind} model input shows values at target positions, "
+                            f"which must hold {MISSING_TOKEN:g}")
         diff = trace.output - Tensor(batch.values)
         weights = masked_mse_weights(batch.mask,
                                      np.ones(batch.mask.shape[0], dtype=np.float32))

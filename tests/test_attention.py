@@ -61,7 +61,11 @@ def dense_attention_oracle(q, k, v):
 
 def oracle_top_queries(scores, u, rng):
     """The u queries [..., u] of each slice with the highest max-minus-mean
-    of their scaled scores [..., D, D] against u keys sampled per query."""
+    of their scaled scores [..., D, D] against u keys sampled per query.
+
+    The samples lie [..., D, u], one query's in a row: the mean is numpy's
+    over a short innermost axis and the ranking a full stable argsort, as
+    the sparse path once computed them; it must still agree bit for bit."""
     D = scores.shape[-1]
     sample_idx = np.argsort(rng.random((D, D)), axis=-1)[:, :u]
     sampled = np.take_along_axis(
@@ -344,6 +348,57 @@ class TestProbsparseAttention:
         b = probsparse_attention(q, k, v, 2.0, np.random.default_rng(7))
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x.data, y.data)
+
+
+class TestTopQueriesBitwise:
+    """The [..., u, D] sample layout and partial selection against the
+    [..., D, u] oracle: the same queries in the same order, ties included."""
+
+    @staticmethod
+    def check(q, k, c):
+        D, d_h = q.shape[-2:]
+        u = probsparse_top_u(D, c)
+        assert u < D
+        scores = (q @ np.swapaxes(k, -1, -2)) * (1.0 / math.sqrt(d_h))
+        got = attention._top_queries(q, k, u, np.random.default_rng(21))
+        want = oracle_top_queries(scores, u, np.random.default_rng(21))
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("B", [1, 8])
+    @pytest.mark.parametrize("inputs", ["normal", "constant", "one_decimal"])
+    def test_benchmark_shape(self, B, inputs):
+        # the 7-feature benchmark model's attention: 2 heads of width 8, D=168
+        rng = np.random.default_rng(B)
+        q, k = (rng.standard_normal((7, B, 2, 168, 8)).astype(np.float32) for _ in range(2))
+        if inputs == "constant":            # every score ties
+            q, k = np.full_like(q, 0.5), np.full_like(k, 0.25)
+        elif inputs == "one_decimal":       # few distinct scores: many tied sparsities
+            q, k = np.round(q, 1), np.round(k, 1)
+        self.check(q, k, 5.0)
+
+    @pytest.mark.parametrize("D,c", [(12, 2.0), (40, 3.0), (300, 30.0)],
+                             ids=["u<8", "u<128", "u>128"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_sample_count_branch(self, D, c, dtype):
+        rng = np.random.default_rng(D)
+        q, k = (rng.standard_normal((3, 2, D, 4)).astype(dtype) for _ in range(2))
+        self.check(q, k, c)
+
+    def test_nan_scores_rank_last(self):
+        rng = np.random.default_rng(22)
+        q, k = (rng.standard_normal((2, 40, 4)) for _ in range(2))
+        q[0, :35] = np.nan                     # fewer than u queries have a number
+        self.check(q, k, 3.0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sample_sum_adds_in_the_order_of_a_row_mean(self, dtype):
+        rng = np.random.default_rng(23)
+        for n in list(range(1, 140)) + [300]:
+            rows = (rng.standard_normal((5, 30, n)) * 10.0 ** rng.integers(-3, 4, (5, 30, n)))
+            rows = rows.astype(dtype)
+            got = attention._sum_like_rows(np.ascontiguousarray(np.swapaxes(rows, -1, -2))) / n
+            assert got.tobytes() == rows.mean(axis=-1).tobytes(), n
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from scipy import special
 
 from tsrm.autodiff import (
+    GROUP_NORM_EPS,
     Adam,
     Parameter,
     Tensor,
@@ -517,6 +518,27 @@ class TestPoolOracle:
         out.backward(g)
         assert_bitwise(xt.grad, accumulated(gx))
 
+    @pytest.mark.parametrize("L,k,stride", [(94, 2, 2), (18, 2, 2), (95, 2, 2), (30, 3, 3),
+                                            (31, 2, 3)])
+    @pytest.mark.parametrize("special", ["ties", "nan", "signed_zeros"])
+    def test_disjoint_windows_match_argmax(self, L, k, stride, special):
+        # the branches' pools (k = stride) and a gap between windows (k < s),
+        # compared on every way two window entries can compare equal or
+        # unordered: the first max and the first NaN take the gradient
+        rng = np.random.default_rng(L * 10 + k)
+        x = model_layout(rng, 8, 24, L, ties=True)
+        if special == "nan":
+            x[rng.random(x.shape) < 0.1] = np.nan
+        elif special == "signed_zeros":
+            x[x == 0] = rng.choice(np.array([0.0, -0.0], dtype=np.float32), (x == 0).sum())
+        xt = Tensor(x, requires_grad=True)
+        out = maxpool1d(xt, k, stride)
+        g = rng.standard_normal(out.shape).astype(np.float32)
+        want, gx = oracle_maxpool(x, k, stride, g)
+        assert_bitwise(out.data, want)
+        out.backward(g)
+        assert_bitwise(xt.grad, accumulated(gx))
+
     @pytest.mark.parametrize("ties", [False, True])
     @pytest.mark.parametrize("lead", [(), (3,)])
     @pytest.mark.parametrize("L", [5, 8, 13, 19, 24, 61])
@@ -532,7 +554,34 @@ class TestPoolOracle:
         assert_bitwise(xt.grad, accumulated(gx))
 
 
+def oracle_group_norm(x, groups, gamma, beta):
+    """Group norm with np.var's own mean and variance."""
+    B, L, C = x.shape
+    xg = x.reshape(B, L, groups, C // groups)
+    mean = xg.mean(axis=(1, 3), keepdims=True)
+    inv = 1.0 / np.sqrt(xg.var(axis=(1, 3), keepdims=True) + GROUP_NORM_EPS)
+    return ((xg - mean) * inv).astype(x.dtype).reshape(B, L, C) * gamma + beta
+
+
 class TestGroupNorm:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layout", ["layer0", "C"])
+    def test_matches_var_formula_bitwise(self, layout, dtype):
+        # the first layer normalizes the conv and pool segments as concat lays
+        # them out, time innermost; its sums follow that layout
+        rng = np.random.default_rng(24)
+        B, C = 4, 112
+        if layout == "layer0":
+            x = np.concatenate([rng.standard_normal((B, C, n)).astype(dtype).transpose(0, 2, 1)
+                                for n in (94, 47, 18, 9)], axis=1)
+            assert not x.flags.c_contiguous
+        else:
+            x = rng.standard_normal((B, 168, C)).astype(dtype)
+        x = x * 3.0 + 0.5
+        gamma, beta = (rng.standard_normal(C).astype(dtype) for _ in range(2))
+        out = group_norm(Tensor(x), 7, Tensor(gamma), Tensor(beta))
+        assert_bitwise(out.data, oracle_group_norm(x, 7, gamma, beta))
+
     def test_constant_input_gives_zeros(self):
         x = Tensor(np.full((2, 5, 6), 3.0))
         out = group_norm(x, 2, Tensor(np.ones(6)), Tensor(np.zeros(6)))

@@ -213,6 +213,20 @@ class TestFinetuneLoss:
             finetune_loss(fake_trace(np.zeros((1, 24, 1))), batch, task)
 
 
+    @pytest.mark.parametrize("kind", ["forecast", "impute"])
+    def test_target_value_shown_in_model_input_rejected(self, kind):
+        task = TaskSpec(kind, horizon=4, input_len=20) if kind == "forecast" else TaskSpec(kind)
+        values = np.random.default_rng(12).random((2, 24, 1)).astype(np.float32)
+        observed = np.ones_like(values, dtype=bool)
+        batch = (build_forecast_batch(values, observed, task) if kind == "forecast"
+                 else build_impute_batch(values, observed, np.random.default_rng(2)))
+        finetune_loss(fake_trace(np.zeros((2, 24, 1))), batch, task)
+        b, t, f = np.argwhere(batch.mask)[-1]
+        batch.model_input[b, t, f] = batch.values[b, t, f]
+        with pytest.raises(DataError, match="target positions"):
+            finetune_loss(fake_trace(np.zeros((2, 24, 1))), batch, task)
+
+
 class TestEvaluateTask:
     class CopyModel:
         """Stub whose output equals its input plus a constant offset."""

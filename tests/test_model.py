@@ -8,6 +8,8 @@ import pytest
 
 from tsrm.autodiff import (
     Tensor,
+    _fold_plan,
+    _fold_rows,
     adaptive_maxpool1d,
     concat,
     conv1d,
@@ -246,6 +248,31 @@ class TestRepresentationAndMerge:
                  + model.t("el0.block2.linear.b"))
         p = y + res_in
         np.testing.assert_allclose(res_out.data, p.data, atol=1e-6)
+
+    def test_merge_feed_forward_input_folds_without_a_copy(self, monkeypatch):
+        # the 7-feature benchmark shape: the restored branches reach the fused
+        # feed-forward C-ordered, so its weight gradient folds the batch and
+        # time axes into rows as a view
+        cfg = ModelConfig(T=192, F=7, f_embed=16, n_layers=1, heads=2, attention="probsparse",
+                          branches=[{"kernel": 5, "dilation": 1},
+                                    {"kernel_pct": 10, "dilation": 2}])
+        model = TsrmModel(cfg, seed=15)
+        e = model.embed(Tensor(np.random.default_rng(15).random((3, cfg.T, cfg.F))
+                               .astype(np.float32)))
+        inputs = []
+
+        def spy(a, b):
+            if b is model.t("el0.ml.ffn.w"):
+                inputs.append(a.data)
+            return matmul(a, b)
+
+        monkeypatch.setattr(model_module, "matmul", spy)
+        model.merge(model.representation(e, 0), 0)
+        (x5,) = inputs
+        assert x5.shape == (3, cfg.T, cfg.F, 1, 2 * cfg.f_embed) and x5.flags.c_contiguous
+        plan = _fold_plan(x5.shape, model.t("el0.ml.ffn.w").shape)
+        assert plan is not None
+        assert np.shares_memory(_fold_rows(x5, *plan), x5)
 
     def test_pool_segments_present_in_layout(self):
         cfg = ModelConfig(T=96, F=1, f_embed=4, n_layers=1, heads=2,
