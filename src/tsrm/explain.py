@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import _taps, no_grad
+from .autodiff import _scatter, no_grad
 from .errors import ConfigError, DataError
 from .finetune import stored_task_spec
 from .model import TsrmModel, build_model_input
@@ -30,11 +30,9 @@ BACKMAP_MODES = ("mean", "sum")
 def _static_transpose(signal: np.ndarray, k: int, dilation: int, stride: int,
                       target_len: int) -> np.ndarray:
     """Run the branch's transposed conv with an all-ones kernel along the
-    last axis, in float64; leading axes hold independent signals."""
-    out = np.zeros(signal.shape[:-1] + (target_len,), dtype=np.float64)
-    for _, tap, m in _taps(k, dilation, stride, target_len, signal.shape[-1]):
-        out[..., tap] += signal[..., :m]
-    return out
+    last axis; leading axes hold independent signals."""
+    one_channel = signal[..., None, :].astype(np.float64)
+    return _scatter(one_channel, np.ones((1, k)), dilation, stride, target_len)[..., 0, :]
 
 
 def backmap_branch(weights: np.ndarray, rb, T: int, mode: str = "mean") -> np.ndarray:

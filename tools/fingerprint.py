@@ -1,20 +1,21 @@
 """Print sha256 fingerprints of seeded training and evaluation, one JSON
 line per benchmark shape.
 
-    python3 tools/fingerprint.py [--steps 25] [--workload pretrain-mv] [--root DIR]
+    python3 tools/fingerprint.py [--root DIR]
 
-For each workload of ``bench/workloads.py`` the model is built at that
-workload's shape, trained for ``--steps`` seeded Adam steps on batches of
-the workload's generated series (as ``tsrm.train`` takes them, with
-``bench/run.py``'s learning rate), and then run in eval mode on the first
-held-out window (B=1) and on the first 64 (B=64). Each line holds the sha256
-of the trained parameters (name, dtype, shape and bytes, in
-``parameter_table`` order) and of each eval forward's output, class logits,
-attention vectors and feature scores.
+For each workload of ``bench/workloads.py`` the benchmark's own set-up
+(``bench/lifecycle.py``) builds the model and objective from the workload's
+generated CSV, ``tsrm.train`` runs one seeded epoch with ``bench/run.py``'s
+batch size and learning rate, and the trained model is run in eval mode on
+the first held-out window (B=1) and on the first 64 (B=64) of
+``bench/run.py``'s evaluation inputs. Each line holds the sha256 of the
+trained parameters (dtype, shape and bytes, in ``parameter_table`` order)
+and of each eval forward's output, class logits, attention vectors and
+feature scores.
 
-``--root`` names the checkout whose ``src`` and ``bench/workloads.py`` are
-imported (this file's checkout by default), so that two checkouts are
-compared from one copy of this tool:
+``--root`` names the checkout whose ``src`` and ``bench`` are imported
+(this file's checkout by default), so that two checkouts are compared from
+one copy of this tool:
 
     python3 tools/fingerprint.py > new.jsonl
     python3 tools/fingerprint.py --root ../parent > old.jsonl
@@ -34,14 +35,11 @@ import argparse  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-# bench/run.py's values: training windows per batch, Adam's learning rate, seeds
-BATCH_SIZE = 8
-LEARNING_RATE = 3e-3
-MODEL_SEED = 0
 SERIES_SEED = 1
 EVAL_SIZES = (1, 64)
 
@@ -55,73 +53,25 @@ def digest(*arrays) -> str:
     return h.hexdigest()
 
 
-def build(tsrm, w, series):
-    """Model, objective, task and held-out dataset of a workload, built as
-    ``bench/lifecycle.py`` builds them, minus the CSV round trip."""
-    from tsrm.data import compute_stats, split_series
+def fingerprint(w, work: Path) -> dict:
+    import run
+    from lifecycle import MODEL_SEED, setup
+    from spans import Tracer
+    from workloads import BATCH_SIZE, generate_series, reference_test_windows, write_csv
 
-    names = [f"v{f}" for f in range(w.features)]
-    rows = split_series(series.shape[0], (0.6, 0.2, 0.2))
-    stats = compute_stats(series[rows[0]], names)
-    train_ds, val_ds, test_ds = (
-        tsrm.window(tsrm.normalize(series[r], stats)[0], w.window, stride)
-        for r, stride in zip(rows, (w.stride_train, w.stride_train, w.stride_test)))
-    if w.forecast:
-        config = tsrm.ModelConfig(T=w.input_len, F=w.features, **w.model)
-        task = tsrm.TaskSpec("forecast", horizon=w.horizon, input_len=w.input_len)
-        model = tsrm.prepare_finetune(tsrm.TsrmModel(config, seed=MODEL_SEED), task,
-                                      seed=MODEL_SEED)
-        objective = tsrm.FinetuneObjective(task, train_ds, val_ds, batch_size=BATCH_SIZE)
-    else:
-        config = tsrm.ModelConfig(T=w.window, F=w.features, **w.model)
-        task = tsrm.TaskSpec("impute")
-        model = tsrm.TsrmModel(config, seed=MODEL_SEED)
-        objective = tsrm.PretrainObjective(train_ds, val_ds, batch_size=BATCH_SIZE)
-    return model, objective, task, test_ds
-
-
-def train_steps(tsrm, model, objective, steps: int) -> int:
-    """``tsrm.train``'s step (forward, loss, backward, clip, Adam) over its
-    seeded batches, for at most ``steps`` steps; returns the steps taken."""
-    from tsrm.autodiff import clip_grad_norm
-
-    cfg = tsrm.TrainConfig(batch_size=BATCH_SIZE, initial_lr=LEARNING_RATE, seed=MODEL_SEED)
-    rng = np.random.default_rng(cfg.seed)
-    opt = tsrm.Adam(model.parameters(), lr=cfg.initial_lr)
-    done = 0
-    while done < steps:
-        for batch in objective.train_batches(rng):
-            if done == steps:
-                break
-            trace = model.forward(batch.model_input, training=True, rng=rng)
-            loss, _ = objective.loss(trace, batch)
-            opt.zero_grad()
-            loss.backward()
-            clip_grad_norm(model.parameters(), cfg.grad_clip_norm)
-            opt.step()
-            done += 1
-    return done
-
-
-def eval_inputs(w, test_ds, task) -> np.ndarray:
-    from tsrm.finetune import build_forecast_batch, build_impute_batch
-
-    if w.forecast:
-        return build_forecast_batch(test_ds.values, test_ds.observed, task).model_input
-    return build_impute_batch(test_ds.values, test_ds.observed,
-                              np.random.default_rng(0)).model_input
-
-
-def fingerprint(tsrm, w, steps: int) -> dict:
+    series = generate_series(w, SERIES_SEED)
+    csv_path = work / "series.csv"
+    write_csv(series, csv_path)
+    s = setup(w, csv_path, work, Tracer(enabled=False))
+    import tsrm
     from tsrm.autodiff import no_grad
 
-    from workloads import generate_series
-
-    model, objective, task, test_ds = build(tsrm, w, generate_series(w, SERIES_SEED))
-    taken = train_steps(tsrm, model, objective, steps)
-    line = {"workload": w.name, "steps": taken,
+    cfg = tsrm.TrainConfig(max_epochs=1, batch_size=BATCH_SIZE,
+                           initial_lr=run.LEARNING_RATE, seed=MODEL_SEED)
+    model, log = tsrm.train(s.model, s.objective, cfg)
+    line = {"workload": w.name, "steps": log.total_steps,
             "params": digest(*(p.data for p in model.parameters()))}
-    inputs = eval_inputs(w, test_ds, task)
+    inputs, _ = run.eval_inputs(w, s.test_ds, reference_test_windows(w, series))
     with no_grad():
         for n in EVAL_SIZES:
             trace = model.forward(inputs[:n])
@@ -133,19 +83,16 @@ def fingerprint(tsrm, w, steps: int) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--steps", type=int, default=25)
-    parser.add_argument("--workload", action="append",
-                        help="a workload name; repeat for several (default: all)")
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
-                        help="checkout whose src/ and bench/workloads.py are used")
+                        help="checkout whose src/ and bench/ are used")
     args = parser.parse_args(argv)
     root = args.root.resolve()
     sys.path[:0] = [str(root / "src"), str(root / "bench")]
-    import tsrm
     from workloads import WORKLOADS
 
-    for name in args.workload or list(WORKLOADS):
-        print(json.dumps(fingerprint(tsrm, WORKLOADS[name], args.steps)), flush=True)
+    for w in WORKLOADS.values():
+        with tempfile.TemporaryDirectory() as work:
+            print(json.dumps(fingerprint(w, Path(work))), flush=True)
     return 0
 
 
