@@ -15,7 +15,7 @@ from .errors import (
     UnsupportedVersionError,
 )
 from .autodiff import Tensor, Parameter, Adam
-from .attention import AttentionKind, entmax15, reduce_map
+from .attention import entmax15, reduce_map
 from .model import (
     BranchSpec,
     ForwardTrace,

@@ -14,19 +14,20 @@ mean adds each query's u samples in the order numpy's pairwise sum of a
 contiguous row would, so the ranking is the same bit for bit as over a
 [..., D, u] layout (``_top_queries``).
 
-All three kinds share one body, ``_attend``, and one contract: they return
-the values and the row-stochastic weights of the rows they computed,
-[..., h, r, D], with r = D except for prob-sparse with u < D. The wrapper
-reduces every kind with ``_reduce_rows`` to the per-feature vector of the
-attention each representation position receives (``reduce_map`` of the
-head-averaged map, each uniform row adding 1/D to every position); no
-D x D map is built for a kind that does not compute one.
+All three kinds share one body, ``_attend``: one node, ``_scores``, gives
+the scaled scores of the selected query rows against all D keys, softmax
+or entmax15 normalizes each row, and the values follow. Each kind returns
+the values and the row-stochastic weights of its rows, [..., h, r, D],
+with r = D except for prob-sparse with u < D. The wrapper reduces every
+kind with ``_reduce_rows`` to the per-feature vector of the attention each
+representation position receives (``reduce_map`` of the head-averaged map,
+each uniform row adding 1/D to every position); no D x D map is built for
+a kind that does not compute one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +35,6 @@ from .autodiff import Tensor, _make, matmul, softmax
 from .errors import ConfigError
 
 __all__ = [
-    "AttentionKind",
     "entmax15",
     "vanilla_attention",
     "entmax_attention",
@@ -45,20 +45,6 @@ __all__ = [
 ]
 
 KINDS = ("vanilla", "entmax15", "probsparse")
-
-
-@dataclass(frozen=True)
-class AttentionKind:
-    """Which attention mechanism an encoding layer uses."""
-
-    kind: str = "vanilla"
-    probsparse_factor: float = 5.0
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ConfigError(f"unknown attention kind {self.kind!r}, expected one of {KINDS}")
-        if self.probsparse_factor <= 0:
-            raise ConfigError("probsparse factor must be positive")
 
 
 # Elements per block of rows that entmax15 solves at once. Its sort and
@@ -122,10 +108,11 @@ def entmax15(z: Tensor, axis: int = -1) -> Tensor:
 
 
 def probsparse_top_u(D: int, c: float) -> int:
-    """Number of sampled keys / retained queries: min(D, ceil(c ln D))."""
+    """Sampled keys / retained queries: min(D, ceil(c ln D)), D on overflow."""
     if D < 1:
         raise ConfigError("attention needs at least one position")
-    return min(D, math.ceil(c * math.log(D))) if D > 1 else 1
+    x = c * math.log(D)
+    return D if D == 1 or x >= D else math.ceil(x)
 
 
 def _sum_like_rows(a: np.ndarray) -> np.ndarray:
@@ -202,17 +189,31 @@ def _top_queries(q: np.ndarray, k: np.ndarray, u: int, rng: np.random.Generator)
     return _top_u(sampled.max(axis=-2) - _sum_like_rows(sampled) / u, u)
 
 
-def _take_rows(x: Tensor, index: np.ndarray) -> Tensor:
-    """Rows ``index`` [..., u] of x [..., D, d]; indices are distinct per slice."""
-    idx = index[..., None]
-    data = np.take_along_axis(x.data, idx, axis=-2)
+def _scores(q: Tensor, k: Tensor, index) -> Tensor:
+    """Scaled scores [..., r, D] of q's rows ``index`` [..., r] (every row
+    when None) against all D keys of k, as one node that keeps only the
+    rows. Its backward issues the expressions a row gather, k's transpose,
+    the product and the scale would as four nodes, in their order, so the
+    gradients are the same bit for bit."""
+    idx = None if index is None else index[..., None]
+    rows = q.data if idx is None else np.take_along_axis(q.data, idx, axis=-2)
+    data = rows @ np.swapaxes(k.data, -1, -2)
+    scale = np.asarray(1.0 / math.sqrt(q.shape[-1]), dtype=data.dtype)
+    data *= scale
 
     def backward(g):
-        gx = np.zeros_like(x.data)
-        np.put_along_axis(gx, idx, g, axis=-2)
-        x._accumulate(gx)
+        gs = g * scale
+        if q.requires_grad:
+            dq = gs @ k.data
+            if idx is not None:
+                full = np.zeros_like(q.data)
+                np.put_along_axis(full, idx, dq, axis=-2)
+                dq = full
+            q._accumulate(dq)
+        if k.requires_grad:
+            k._accumulate(np.swapaxes(np.swapaxes(rows, -1, -2) @ gs, -1, -2))
 
-    return _make(data, (x,), backward, "take_rows")
+    return _make(data, (q, k), backward, "scores")
 
 
 def _fill_rows(rows: Tensor, v: Tensor, index: np.ndarray) -> Tensor:
@@ -235,19 +236,16 @@ def _fill_rows(rows: Tensor, v: Tensor, index: np.ndarray) -> Tensor:
     return _make(data, (rows, v), backward, "fill_rows")
 
 
-def _attend(q: Tensor, k: Tensor, v: Tensor, normalize, index=None):
+def _attend(q: Tensor, k: Tensor, v: Tensor, normalize, index):
     """Attention of the query rows ``index`` [..., r] (every row when None)
     over all D keys, on [..., h, D, d_h] tensors.
 
-    Forms the selected rows' scaled scores, normalizes each row with
-    ``normalize`` (softmax or entmax15) and takes their values; every
+    Normalizes each row of the selected rows' scaled scores (``_scores``)
+    with ``normalize`` (softmax or entmax15) and takes their values; every
     unselected query gets the mean of the values, the output of a uniform
     row. Returns (values [..., h, D, d_h], row weights [..., h, r, D]).
     """
-    rows = q if index is None else _take_rows(q, index)
-    scores = matmul(rows, k.transpose(*range(k.ndim - 2), k.ndim - 1, k.ndim - 2))
-    scores = scores * (1.0 / math.sqrt(q.shape[-1]))
-    weights = normalize(scores, axis=-1)
+    weights = normalize(_scores(q, k, index), axis=-1)
     values = matmul(weights, v)
     if index is not None:
         values = _fill_rows(values, v, index)
@@ -256,12 +254,12 @@ def _attend(q: Tensor, k: Tensor, v: Tensor, normalize, index=None):
 
 def vanilla_attention(q: Tensor, k: Tensor, v: Tensor):
     """Dense softmax attention; see ``_attend`` for the contract."""
-    return _attend(q, k, v, softmax)
+    return _attend(q, k, v, softmax, None)
 
 
 def entmax_attention(q: Tensor, k: Tensor, v: Tensor):
     """As vanilla attention but with entmax-1.5 in place of softmax."""
-    return _attend(q, k, v, entmax15)
+    return _attend(q, k, v, entmax15, None)
 
 
 def probsparse_attention(q: Tensor, k: Tensor, v: Tensor, c: float, rng: np.random.Generator):
@@ -301,15 +299,15 @@ def reduce_map(map_tensor: Tensor) -> Tensor:
     return map_tensor.sum(axis=-2)
 
 
-def feature_separated_mha(r: Tensor, params: dict, kind: AttentionKind, heads: int,
+def feature_separated_mha(r: Tensor, params: dict, kind: str, factor: float, heads: int,
                           rng: np.random.Generator):
     """Per-feature multi-head self-attention over [B, D, F*f_embed].
 
     Each of the F width-f_embed segments runs through its own Q/K/V/output
     projections (stacked as [F, f_embed, f_embed] weights) and h-head
-    attention of the selected kind; segments are concatenated back in
-    feature order. Returns (output [B, D, F*f_embed], reduced maps
-    [B, F, D] still on the gradient graph).
+    attention of ``kind`` (``factor`` is prob-sparse's c); segments are
+    concatenated back in feature order. Returns (output [B, D, F*f_embed],
+    reduced maps [B, F, D] still on the gradient graph).
     """
     B, D, E = r.shape
     F, f_embed, _ = params["wq"].shape
@@ -330,10 +328,10 @@ def feature_separated_mha(r: Tensor, params: dict, kind: AttentionKind, heads: i
     v = project(params["wv"], params["bv"])
 
     # the kernels are looked up as module globals, so they can be wrapped
-    if kind.kind == "probsparse":
-        values, weights = probsparse_attention(q, k, v, kind.probsparse_factor, rng)
+    if kind == "probsparse":
+        values, weights = probsparse_attention(q, k, v, factor, rng)
     else:
-        attend = vanilla_attention if kind.kind == "vanilla" else entmax_attention
+        attend = vanilla_attention if kind == "vanilla" else entmax_attention
         values, weights = attend(q, k, v)
     reduced = _reduce_rows(weights)                                      # [F, B, D]
 

@@ -175,7 +175,10 @@ class ModelConfig(Section):
             raise ConfigError("classifier needs at least one output")
         self.branches = [b if isinstance(b, BranchSpec) else BranchSpec.from_dict(b)
                          for b in self.branches]
-        attn.AttentionKind(self.attention, self.probsparse_factor)  # validates
+        if self.attention not in attn.KINDS:
+            raise ConfigError(f"unknown attention kind {self.attention!r}, expected one of {attn.KINDS}")
+        if not self.probsparse_factor > 0:
+            raise ConfigError("probsparse factor must be positive")
         D = self.D
         if D < AC_MIN_D:
             raise ConfigError(
@@ -193,10 +196,6 @@ class ModelConfig(Section):
     @property
     def D(self) -> int:
         return sum(rb.conv_len + rb.pool_len for rb in self.resolved_branches)
-
-    @property
-    def attention_kind(self) -> attn.AttentionKind:
-        return attn.AttentionKind(self.attention, self.probsparse_factor)
 
     @classmethod
     def from_dict(cls, d) -> "ModelConfig":
@@ -428,7 +427,7 @@ class TsrmModel:
         attn_params = {k: self.t(f"el{layer}.attn.{k}")
                        for k in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")}
         mha_out, reduced = attn.feature_separated_mha(
-            gelu(g1), attn_params, cfg.attention_kind, cfg.heads, rng)
+            gelu(g1), attn_params, cfg.attention, cfg.probsparse_factor, cfg.heads, rng)
         x = r + dropout(mha_out, cfg.dropout_p, training, rng)
 
         g2 = group_norm(x, cfg.F, self.t(f"el{layer}.block2.norm.gamma"),

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from tsrm.attention import (
-    AttentionKind,
     entmax15,
     feature_separated_mha,
     probsparse_attention,

@@ -9,7 +9,6 @@ import pytest
 import tsrm.attention as attention
 from tsrm.attention import (
     _ENTMAX_BLOCK,
-    AttentionKind,
     entmax15,
     entmax_attention,
     feature_separated_mha,
@@ -18,7 +17,7 @@ from tsrm.attention import (
     reduce_map,
     vanilla_attention,
 )
-from tsrm.autodiff import Tensor, kaiming_uniform, matmul, no_grad, softmax
+from tsrm.autodiff import Tensor, _make, kaiming_uniform, matmul, no_grad, softmax
 from tsrm.errors import ConfigError
 from tsrm.model import ModelConfig, TsrmModel
 
@@ -301,6 +300,7 @@ class TestProbsparseAttention:
         assert probsparse_top_u(96, 5.0) == 23  # ceil(5 ln 96)
         assert probsparse_top_u(4, 5.0) == 4
         assert probsparse_top_u(1, 5.0) == 1
+        assert probsparse_top_u(168, 1e308) == 168  # c ln D overflows to inf
 
     def test_u_equal_d_degenerates_to_vanilla(self):
         rng = np.random.default_rng(33)
@@ -401,6 +401,64 @@ class TestTopQueriesBitwise:
             assert got.tobytes() == rows.mean(axis=-1).tobytes(), n
 
 
+class _RawGrad(Tensor):
+    """A leaf that keeps the gradient handed to it as it is, -0.0 included."""
+
+    def _accumulate(self, g):
+        self.grad = g
+
+
+def four_node_scores(q, k, index):
+    """Oracle: the scaled scores as four nodes, a gather of the rows
+    ``index``, k's transpose, the product and the scale."""
+    rows = q
+    if index is not None:
+        idx = index[..., None]
+
+        def backward(g):
+            gq = np.zeros_like(q.data)
+            np.put_along_axis(gq, idx, g, axis=-2)
+            q._accumulate(gq)
+
+        rows = _make(np.take_along_axis(q.data, idx, axis=-2), (q,), backward, "take_rows")
+    scores = matmul(rows, k.transpose(*range(k.ndim - 2), k.ndim - 1, k.ndim - 2))
+    return scores * (1.0 / math.sqrt(q.shape[-1]))
+
+
+class TestScoresBitwise:
+    """The one-node scores against the four-node chain, bit for bit."""
+
+    @pytest.mark.parametrize("normalize", [softmax, entmax15], ids=["softmax", "entmax15"])
+    # d_h = 8 scales by an inexact 1/sqrt(8), so a scale moved to another
+    # operand shows; d_h = 16 scales by 1/4 exactly
+    @pytest.mark.parametrize("shape,u", [((7, 8, 2, 168, 8), 26), ((1, 8, 2, 69, 16), None)],
+                             ids=["top-26-rows", "all-rows"])
+    def test_data_and_gradients_match_the_chain(self, shape, u, normalize):
+        rng = np.random.default_rng(shape[-2])
+        q0, k0 = (rng.standard_normal(shape).astype(np.float32) for _ in range(2))
+        index = None
+        if u is not None:
+            assert probsparse_top_u(shape[-2], 5.0) == u
+            index = attention._top_queries(q0, k0, u, np.random.default_rng(1))
+        g_up = rng.standard_normal(shape[:-2] + (u or shape[-2], shape[-2])).astype(np.float32)
+
+        results = []
+        for scores_of in (attention._scores, four_node_scores):
+            q, k = (Tensor(a, requires_grad=True) for a in (q0, k0))
+            scores = scores_of(q, k, index)
+            # the gradient the normalization's backward hands the scores
+            z = _RawGrad(scores.data, requires_grad=True)
+            normalize(z, axis=-1).backward(g_up)
+            scores.backward(z.grad)
+            results.append((scores.data, q.grad, k.grad, z.grad))
+        if normalize is entmax15:
+            zero = results[1][3] == 0
+            assert zero.any() and np.signbit(results[1][3][zero]).any()
+        for got, want in zip(*results):
+            assert got.dtype == want.dtype == np.float32
+            np.testing.assert_array_equal(got, want)
+
+
 # ---------------------------------------------------------------------------
 # reduce_map
 # ---------------------------------------------------------------------------
@@ -467,7 +525,7 @@ class TestFeatureSeparatedMha:
         F, f_embed, h, B, D = 1, 8, 2, 2, 5
         params = make_attention_params(rng, F, f_embed)
         r = Tensor(rng.standard_normal((B, D, f_embed)))
-        out, reduced = feature_separated_mha(r, params, AttentionKind("vanilla"), h,
+        out, reduced = feature_separated_mha(r, params, "vanilla", 5.0, h,
                                              np.random.default_rng(0))
         # plain reference: same projections without the feature plumbing
         q = (r.data @ params["wq"].data[0]).reshape(B, D, h, -1).transpose(0, 2, 1, 3)
@@ -487,12 +545,12 @@ class TestFeatureSeparatedMha:
         perm = np.array([2, 0, 1])
 
         out1, red1 = feature_separated_mha(Tensor(r), params,
-                                           AttentionKind("vanilla"), h,
+                                           "vanilla", 5.0, h,
                                            np.random.default_rng(0))
         perm_params = {name: Tensor(t.data[perm]) for name, t in params.items()}
         r_perm = r.reshape(B, D, F, f_embed)[:, :, perm].reshape(B, D, F * f_embed)
         out2, red2 = feature_separated_mha(Tensor(r_perm), perm_params,
-                                           AttentionKind("vanilla"), h,
+                                           "vanilla", 5.0, h,
                                            np.random.default_rng(0))
         want = out1.data.reshape(B, D, F, f_embed)[:, :, perm].reshape(B, D, -1)
         np.testing.assert_allclose(out2.data, want, atol=1e-10)
@@ -505,12 +563,12 @@ class TestFeatureSeparatedMha:
         base = rng.standard_normal((B, D, F * f_embed))
 
         out_full, red_full = feature_separated_mha(Tensor(base), params,
-                                                   AttentionKind("vanilla"), h,
+                                                   "vanilla", 5.0, h,
                                                    np.random.default_rng(0))
         mutated = base.copy()
         mutated[:, :, f_embed:] = rng.standard_normal((B, D, f_embed))
         out_mut, red_mut = feature_separated_mha(Tensor(mutated), params,
-                                                 AttentionKind("vanilla"), h,
+                                                 "vanilla", 5.0, h,
                                                  np.random.default_rng(0))
         np.testing.assert_array_equal(out_full.data[:, :, :f_embed],
                                       out_mut.data[:, :, :f_embed])
@@ -526,10 +584,10 @@ class TestFeatureSeparatedMha:
         r2 = np.concatenate([r1, np.zeros((B, D, f_embed))], axis=-1)
 
         out1, red1 = feature_separated_mha(Tensor(r1), single,
-                                           AttentionKind("vanilla"), h,
+                                           "vanilla", 5.0, h,
                                            np.random.default_rng(0))
         out2, red2 = feature_separated_mha(Tensor(r2), double,
-                                           AttentionKind("vanilla"), h,
+                                           "vanilla", 5.0, h,
                                            np.random.default_rng(0))
         np.testing.assert_array_equal(out2.data[:, :, :f_embed], out1.data)
         np.testing.assert_array_equal(red2.data[:, 0], red1.data[:, 0])
@@ -541,7 +599,7 @@ class TestFeatureSeparatedMha:
         params = make_attention_params(rng, F, f_embed)
         r = Tensor(rng.standard_normal((B, D, F * f_embed)))
         kernel = spy_on_kernel(monkeypatch, kind)
-        _, reduced = feature_separated_mha(r, params, AttentionKind(kind), h,
+        _, reduced = feature_separated_mha(r, params, kind, 5.0, h,
                                            np.random.default_rng(0))
         (_, weights), = kernel.results
         assert weights.shape == (F, B, h, D, D)
@@ -555,11 +613,11 @@ class TestFeatureSeparatedMha:
         params = make_attention_params(rng, 2, 4)
         r = Tensor(rng.standard_normal((1, 5, 8)))
         with pytest.raises(ConfigError, match="divisible"):
-            feature_separated_mha(r, params, AttentionKind("vanilla"), 3,
+            feature_separated_mha(r, params, "vanilla", 5.0, 3,
                                   np.random.default_rng(0))
         with pytest.raises(ConfigError, match="width"):
             feature_separated_mha(Tensor(rng.standard_normal((1, 5, 6))), params,
-                                  AttentionKind("vanilla"), 2, np.random.default_rng(0))
+                                  "vanilla", 5.0, 2, np.random.default_rng(0))
 
     def test_gradients_flow_through_output_and_maps(self):
         rng = np.random.default_rng(45)
@@ -570,7 +628,7 @@ class TestFeatureSeparatedMha:
         w_map = rng.standard_normal((B, F, D))
 
         def loss():
-            out, reduced = feature_separated_mha(r, params, AttentionKind("vanilla"),
+            out, reduced = feature_separated_mha(r, params, "vanilla", 5.0,
                                                  h, np.random.default_rng(0))
             return (out * Tensor(w_out)).sum() + (reduced * Tensor(w_map)).sum()
 
@@ -582,11 +640,11 @@ class TestFeatureSeparatedMha:
         F, f_embed, h, B, D = 1, 4, 2, 1, 12
         params = make_attention_params(rng, F, f_embed)
         r = rand_tensor(rng, B, D, F * f_embed)
-        kind = AttentionKind("probsparse", probsparse_factor=2.0)
         w_out = rng.standard_normal((B, D, F * f_embed))
 
         def loss():
-            out, _ = feature_separated_mha(r, params, kind, h, np.random.default_rng(3))
+            out, _ = feature_separated_mha(r, params, "probsparse", 2.0, h,
+                                           np.random.default_rng(3))
             return (out * Tensor(w_out)).sum()
 
         check_gradients(loss, [r, params["wq"], params["wv"]], tol=5e-4)
@@ -645,7 +703,7 @@ class TestProbsparseSparsePath:
         def run(kind):
             for t in leaves:
                 t.zero_grad()
-            out, reduced = feature_separated_mha(r, params, AttentionKind(kind, c), h,
+            out, reduced = feature_separated_mha(r, params, kind, c, h,
                                                  np.random.default_rng(4))
             ((out * Tensor(w_out)).sum() + (reduced * Tensor(w_red)).sum()).backward()
             return [out.data, reduced.data] + [t.grad for t in leaves]
@@ -664,11 +722,11 @@ class TestProbsparseSparsePath:
         F, f_embed, h, B, D = 1, 4, 2, 1, 12
         params = make_attention_params(rng, F, f_embed)
         r = rand_tensor(rng, B, D, F * f_embed)
-        kind = AttentionKind("probsparse", probsparse_factor=2.0)
         w_red = rng.standard_normal((B, F, D))
 
         def loss():
-            _, reduced = feature_separated_mha(r, params, kind, h, np.random.default_rng(3))
+            _, reduced = feature_separated_mha(r, params, "probsparse", 2.0, h,
+                                               np.random.default_rng(3))
             return (reduced * Tensor(w_red)).sum()
 
         check_gradients(loss, [r, params["wq"], params["wk"], params["bq"], params["bk"]],
@@ -730,7 +788,7 @@ class TestReduceOrder:
         params = make_attention_params(rng, F, f_embed, dtype=np.float32)
         r = Tensor(rng.standard_normal((B, D, F * f_embed)).astype(np.float32))
         kernel = spy_on_kernel(monkeypatch, kind)
-        _, reduced = feature_separated_mha(r, params, AttentionKind(kind, c), h,
+        _, reduced = feature_separated_mha(r, params, kind, c, h,
                                            np.random.default_rng(0))
         (_, weights), = kernel.results
         rows = weights.shape[-2]

@@ -13,15 +13,20 @@ import ast
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import tsrm
+from tsrm.attention import probsparse_top_u
 from tsrm.model import ModelConfig, TsrmModel
 from tsrm.pretraining import build_pretrain_batch, pretrain_loss
 
-SETTABLE_VALUES_MAX = 99
+SETTABLE_VALUES_MAX = 96
 # the count at the smoke shape (two layers, one branch, vanilla attention);
 # it depends on the layer, branch and attention layout, not on T, f_embed or B
-NODES_PER_STEP_MAX = 175
+NODES_PER_STEP_MAX = 171
+# the counts at the seven-feature benchmark layout (two layers, two
+# branches), per attention kind; prob-sparse adds its row fill
+MV_NODES_PER_STEP_MAX = {"vanilla": 189, "entmax15": 189, "probsparse": 191}
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -85,14 +90,32 @@ def count_op_nodes(root) -> int:
     return count
 
 
-def test_op_nodes_per_step_within_budget():
-    cfg = ModelConfig(T=32, F=1, f_embed=8, n_layers=2, heads=2, attention="vanilla",
-                      branches=[{"kernel": 5, "dilation": 1}])
+def step_op_nodes(cfg: ModelConfig) -> int:
+    """Op nodes of one pretraining loss on a batch of two windows."""
     rng = np.random.default_rng(0)
-    values = rng.uniform(size=(2, cfg.T, 1))
+    values = rng.uniform(size=(2, cfg.T, cfg.F))
     batch = build_pretrain_batch(values, np.ones(values.shape, dtype=bool), rng)
     trace = TsrmModel(cfg).forward(batch.model_input, training=True, rng=rng)
     loss, _ = pretrain_loss(trace, batch, cfg.alpha, cfg.beta, cfg.gamma)
-    nodes = count_op_nodes(loss)
+    return count_op_nodes(loss)
+
+
+def test_op_nodes_per_step_within_budget():
+    cfg = ModelConfig(T=32, F=1, f_embed=8, n_layers=2, heads=2, attention="vanilla",
+                      branches=[{"kernel": 5, "dilation": 1}])
+    nodes = step_op_nodes(cfg)
     assert nodes <= NODES_PER_STEP_MAX, (
         f"a pretraining step records {nodes} op nodes, the budget is {NODES_PER_STEP_MAX}")
+
+
+@pytest.mark.parametrize("kind", sorted(MV_NODES_PER_STEP_MAX))
+def test_op_nodes_per_step_at_the_multivariate_layout_within_budget(kind):
+    # T=64 gives D=72, where prob-sparse keeps u = 22 < D rows
+    cfg = ModelConfig(T=64, F=7, f_embed=4, n_layers=2, heads=2, attention=kind,
+                      branches=[{"kernel": 5, "dilation": 1},
+                                {"kernel_pct": 10, "dilation": 2}])
+    assert probsparse_top_u(cfg.D, cfg.probsparse_factor) < cfg.D
+    nodes = step_op_nodes(cfg)
+    budget = MV_NODES_PER_STEP_MAX[kind]
+    assert nodes <= budget, (
+        f"a {kind} pretraining step records {nodes} op nodes, the budget is {budget}")

@@ -150,10 +150,23 @@ def test_every_single_corruption_raises_only_config_error(cls, data):
                    "branches": [{"kernel": 3}]}, "heads must be positive"),
     (ModelConfig, {"T": 24, "F": 1, "f_embed": 4, "n_layers": 1, "heads": 2,
                    "branches": [{"kernel": 3, "stride": 0}]}, "stride must be >= 1"),
+    (ModelConfig, {"T": 24, "F": 1, "f_embed": 4, "n_layers": 1, "heads": 2,
+                   "branches": [{"kernel": 3}], "attention": "flash"},
+     "unknown attention kind 'flash'"),
+    (ModelConfig, {"T": 24, "F": 1, "f_embed": 4, "n_layers": 1, "heads": 2,
+                   "branches": [{"kernel": 3}], "probsparse_factor": 0},
+     "probsparse factor must be positive"),
 ])
 def test_rejections_name_the_value(cls, d, message):
     with pytest.raises(ConfigError, match=message):
         cls.from_dict(d)
+
+
+def test_directly_built_config_rejects_a_nan_probsparse_factor():
+    # NaN passes a `<= 0` check; the prob-sparse u = ceil(c ln D) then fails
+    with pytest.raises(ConfigError, match="probsparse factor must be positive"):
+        ModelConfig(T=24, F=1, f_embed=4, n_layers=1, heads=2, branches=[{"kernel": 3}],
+                    attention="probsparse", probsparse_factor=float("nan"))
 
 
 def test_float_fields_keep_integers_as_written():

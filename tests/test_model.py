@@ -239,8 +239,9 @@ class TestRepresentationAndMerge:
                         model.t("el0.block1.norm.beta"))
         attn_params = {k: model.t(f"el0.attn.{k}")
                        for k in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")}
-        mha_out, _ = feature_separated_mha(gelu(g1), attn_params, cfg.attention_kind,
-                                           cfg.heads, np.random.default_rng(0))
+        mha_out, _ = feature_separated_mha(gelu(g1), attn_params, cfg.attention,
+                                           cfg.probsparse_factor, cfg.heads,
+                                           np.random.default_rng(0))
         x = r + mha_out
         g2 = group_norm(x, cfg.F, model.t("el0.block2.norm.gamma"),
                         model.t("el0.block2.norm.beta"))
